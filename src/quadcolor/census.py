@@ -3,9 +3,9 @@
 Systems are enumerated in a fixed order: origin ascending, then the H mask
 as an integer, then the V mask, so system number ``i`` is always the same
 system and census output files are comparable byte for byte.  Classification
-of a system goes through its canonical form, so the work per isomorphism
-class is done once no matter how the index range is split across workers,
-and every member of a class receives the same verdict.
+of a system goes through its canonical form, so each isomorphism class is
+classified once per census process however the index range is cut into
+chunks, and every member of a class receives the same verdict.
 
 Output is JSON lines, one record per system, streamed with periodic
 flushes and a cursor sidecar so an interrupted run can resume where the
@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -138,37 +137,38 @@ def _relabel_witness(w: PeriodicWitness, relabel: list) -> PeriodicWitness:
 def census_records(
     n: int,
     budget: SearchBudget,
-    dedupe: bool = True,
     start: int = 0,
     stop: Optional[int] = None,
 ) -> Iterator[CensusRecord]:
     """Classify systems start..stop-1 in enumeration order.
 
-    With dedupe on, the verdict is computed for the canonical form and
-    shared across the isomorphism class; witnesses are relabeled back
-    through the canonicalizing bijection so they certify the actual
-    system in the record.
+    The verdict is computed for the canonical form and shared across the
+    isomorphism class; witnesses are relabeled back through the
+    canonicalizing bijection so they certify the actual system in the
+    record.
     """
+    return _records(n, budget, start, stop, {})
+
+
+def _records(
+    n: int, budget: SearchBudget, start: int, stop: Optional[int], cache: dict
+) -> Iterator[CensusRecord]:
     total = total_systems(n)
     if stop is None:
         stop = total
     if not 0 <= start <= stop <= total:
         raise InputError(f"record range [{start}, {stop}) outside [0, {total}]")
-    cache: dict = {}
     for index in range(start, stop):
         sys = system_at(n, index)
         canon, perm = canonicalize(sys)
         cid = f"{canon.n}.{canon.origin}.{canon.h_mask:x}.{canon.v_mask:x}"
-        if dedupe:
-            key = (canon.origin, canon.h_mask, canon.v_mask)
-            verdict = cache.get(key)
-            if verdict is None:
-                verdict = classify(canon, budget)
-                cache[key] = verdict
-            if isinstance(verdict, HasColoring):
-                verdict = HasColoring(_relabel_witness(verdict.witness, _invert(perm)))
-        else:
-            verdict = classify(sys, budget)
+        key = (canon.origin, canon.h_mask, canon.v_mask)
+        verdict = cache.get(key)
+        if verdict is None:
+            verdict = classify(canon, budget)
+            cache[key] = verdict
+        if isinstance(verdict, HasColoring):
+            verdict = HasColoring(_relabel_witness(verdict.witness, _invert(perm)))
         yield CensusRecord(system_index=index, system=sys, verdict=verdict, canonical_id=cid)
 
 
@@ -254,6 +254,17 @@ class _Totals:
         else:
             self.unknown += 1
 
+    def merge(self, later: "_Totals") -> None:
+        """Fold in the totals of the records that follow these ones.  On a
+        tied max_len the earlier champion stays, as in add."""
+        self.count += later.count
+        self.bounded += later.bounded
+        self.has_coloring += later.has_coloring
+        self.unknown += later.unknown
+        if later.best_len > self.best_len:
+            self.best_len = later.best_len
+            self.champion = later.champion
+
     def summary(self) -> CensusSummary:
         lower = 1 + self.best_len if self.bounded else 1
         total = total_systems(self.n)
@@ -277,29 +288,27 @@ def summarize_records(n: int, records: Iterable[CensusRecord]) -> CensusSummary:
     return totals.summary()
 
 
-# -- parallel line production --------------------------------------------------
+# -- census chunks ----------------------------------------------------------------
 
 
-def _line_chunk(args) -> list:
-    n, budget, dedupe, start, stop = args
-    return [record_line(rec) for rec in census_records(n, budget, dedupe=dedupe, start=start, stop=stop)]
+# Class verdicts of the census run in this process, for one (n, budget) at a
+# time.  They outlive a chunk, so a process classifies each class once across
+# all of its chunks; run_census empties the table when it finishes.
+_classes: dict = {}
 
 
-def _iter_lines(
-    n: int, budget: SearchBudget, dedupe: bool, jobs: int, start: int, stop: int
-) -> Iterator[str]:
-    if jobs <= 1:
-        for rec in census_records(n, budget, dedupe=dedupe, start=start, stop=stop):
-            yield record_line(rec)
-        return
-    span = stop - start
-    chunk = max(1, -(-span // (jobs * 8)))
-    tasks = [
-        (n, budget, dedupe, a, min(a + chunk, stop)) for a in range(start, stop, chunk)
-    ]
-    with multiprocessing.Pool(processes=jobs) as pool:
-        for lines in pool.imap(_line_chunk, tasks):
-            yield from lines
+def _chunk(task: tuple) -> tuple[list, _Totals]:
+    """Record lines for systems start..stop-1, and the totals over them."""
+    n, budget, start, stop = task
+    if (n, budget) not in _classes:
+        _classes.clear()
+        _classes[n, budget] = {}
+    totals = _Totals(n)
+    lines = []
+    for rec in _records(n, budget, start, stop, _classes[n, budget]):
+        totals.add(rec.system_index, rec.verdict)
+        lines.append(record_line(rec))
+    return lines, totals
 
 
 # -- resumable streaming runs -----------------------------------------------------
@@ -309,15 +318,18 @@ def _cursor_path(out_path: str) -> str:
     return out_path + ".cursor"
 
 
-def _cursor_payload(n: int, budget: SearchBudget, dedupe: bool, next_index: int) -> dict:
+def _cursor_payload(n: int, budget: SearchBudget, next_index: int) -> dict:
     return {
         "n": n,
         "depth_cap": budget.depth_cap,
         "period_cap": budget.period_cap,
         "node_cap": budget.node_cap,
-        "dedupe": dedupe,
         "next_index": next_index,
     }
+
+
+def _write_cursor(out_path: str, n: int, budget: SearchBudget, next_index: int) -> None:
+    _write_atomic(_cursor_path(out_path), dump_pretty(_cursor_payload(n, budget, next_index)))
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -327,20 +339,27 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _check_cursor(out_path: str, n: int, budget: SearchBudget, dedupe: bool) -> None:
+def _check_cursor(out_path: str, n: int, budget: SearchBudget) -> None:
+    """Refuse to resume unless the cursor shows the same n and budget; the
+    record file itself carries no budget."""
     path = _cursor_path(out_path)
-    if not os.path.exists(path):
-        return
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             prior = json.load(fh)
-        except json.JSONDecodeError:
-            return  # stale cursor; the record scan is the source of truth
-    current = _cursor_payload(n, budget, dedupe, 0)
-    for key in ("n", "depth_cap", "period_cap", "node_cap", "dedupe"):
-        if key in prior and prior[key] != current[key]:
+    except FileNotFoundError:
+        raise InputError(
+            f"{out_path} has no cursor {path}, so its budget is unknown; "
+            "only an unfinished census run can be resumed"
+        ) from None
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        prior = None
+    if not isinstance(prior, dict):
+        raise InputError(f"cursor {path} is unreadable, so the budget of {out_path} is unknown")
+    current = _cursor_payload(n, budget, 0)
+    for key in ("n", "depth_cap", "period_cap", "node_cap"):
+        if prior.get(key) != current[key]:
             raise InputError(
-                f"{out_path} was produced with {key}={prior[key]!r}; "
+                f"{out_path} was produced with {key}={prior.get(key)!r}; "
                 f"resuming with {key}={current[key]!r} would mix incomparable records"
             )
 
@@ -372,13 +391,11 @@ def run_census(
     n: int,
     budget: SearchBudget,
     *,
-    dedupe: bool = True,
     jobs: int = 1,
     out_path: Optional[str] = None,
     resume: bool = False,
     stop_after: Optional[int] = None,
     flush_every: int = 64,
-    throttle_s: float = 0.0,
 ) -> Optional[CensusSummary]:
     """Classify all systems at color count n, optionally streaming to a file.
 
@@ -386,14 +403,15 @@ def run_census(
     paused run has no summary; resume it to completion first).  With
     resume=True an existing output file is extended from its last complete
     record instead of being restarted.
+
+    The index range is cut into chunks, each classified in one piece (by
+    a pool of ``jobs`` workers when jobs > 1) and written in index order.
     """
     _check_color_count(n)
     if not isinstance(jobs, int) or jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs!r}")
     if flush_every < 1:
         raise InputError(f"flush_every must be >= 1, got {flush_every!r}")
-    if throttle_s < 0:
-        raise InputError(f"throttle must be >= 0, got {throttle_s!r}")
     if stop_after is not None and stop_after < 0:
         raise InputError(f"stop_after must be >= 0, got {stop_after!r}")
     if resume and out_path is None:
@@ -404,45 +422,43 @@ def run_census(
     start = 0
     if out_path is not None:
         if resume and os.path.exists(out_path):
-            _check_cursor(out_path, n, budget, dedupe)
+            _check_cursor(out_path, n, budget)
             start = _scan_existing(out_path, n, totals)
         else:
             with open(out_path, "w", encoding="utf-8"):
                 pass
-            if os.path.exists(_cursor_path(out_path)):
-                os.remove(_cursor_path(out_path))
+            _write_cursor(out_path, n, budget, 0)
 
+    paused = stop_after is not None and start + stop_after < total
+    stop = start + stop_after if paused else total
+    chunk = max(1, -(-(total - start) // (jobs * 8)))
+    tasks = [(n, budget, a, min(a + chunk, stop)) for a in range(start, stop, chunk)]
     emitted = 0
-    paused = False
     out = open(out_path, "a", encoding="utf-8") if out_path is not None else None
+    pool = None
     try:
-        if start < total:
-            for line in _iter_lines(n, budget, dedupe, jobs, start, total):
-                if stop_after is not None and emitted >= stop_after:
-                    paused = True
-                    break
-                index = start + emitted
-                rec = parse_record_line(n, line)
-                totals.add(index, rec.verdict)
+        if jobs > 1 and tasks:
+            pool = multiprocessing.Pool(processes=jobs)
+            chunks = pool.imap(_chunk, tasks)
+        else:
+            chunks = map(_chunk, tasks)
+        for lines, chunk_totals in chunks:
+            for line in lines:
+                emitted += 1
                 if out is not None:
                     out.write(line + "\n")
-                    if (emitted + 1) % flush_every == 0:
+                    if emitted % flush_every == 0:
                         out.flush()
-                        _write_atomic(
-                            _cursor_path(out_path),
-                            dump_pretty(_cursor_payload(n, budget, dedupe, index + 1)),
-                        )
-                emitted += 1
-                if throttle_s:
-                    time.sleep(throttle_s)
+                        _write_cursor(out_path, n, budget, start + emitted)
+            totals.merge(chunk_totals)
     finally:
+        _classes.clear()
+        if pool is not None:
+            pool.terminate()
         if out is not None:
             out.flush()
             out.close()
-            _write_atomic(
-                _cursor_path(out_path),
-                dump_pretty(_cursor_payload(n, budget, dedupe, start + emitted)),
-            )
+            _write_cursor(out_path, n, budget, start + emitted)
     if paused:
         return None
     summary = totals.summary()
@@ -452,13 +468,13 @@ def run_census(
     return summary
 
 
-def mu(n: int, budget: SearchBudget, dedupe: bool = True) -> MuEstimate:
+def mu(n: int, budget: SearchBudget) -> MuEstimate:
     """Desk-scale bound on the longest-bounded-system length at color count n.
 
     exact = 1 + max bounded length when every system was certified one way
     or the other; otherwise only the lower bound (from the systems that
     were certified bounded) is reported.
     """
-    summary = run_census(n, budget, dedupe=dedupe)
+    summary = run_census(n, budget)
     assert summary is not None
     return MuEstimate(exact=summary.mu_exact, lower_bound=summary.mu_lower_bound)

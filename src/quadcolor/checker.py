@@ -81,27 +81,12 @@ def check_sequence(sys: ColoringSystem, seq: Sequence[int]) -> Optional[Violatio
 
 
 def check_triangle(sys: ColoringSystem, tri: TriangleColoring) -> Optional[Violation]:
-    """Same verdict as check_sequence on the diagonal-order serialization,
-    computed directly on the grid form."""
+    """check_sequence on the diagonal-order serialization of the grid form."""
     require_valid(sys)
     problems = domain_problems(tri)
     if problems:
         raise InputError("; ".join(problems))
-    _check_elements(sys, tri.to_sequence(), "triangle")
-    if tri.cells[(0, 0)] != sys.origin:
-        return Violation("origin", 0, (0, 0), None, (tri.cells[(0, 0)],))
-    for k in range(1, tri.depth + 1):
-        x, y = tile_at(k)
-        c = tri.cells[(x, y)]
-        if x > 0:
-            left = tri.cells[(x - 1, y)]
-            if not sys.h_allows(left, c):
-                return Violation("horizontal", k, (x, y), (x - 1, y), (left, c))
-        if y > 0:
-            below = tri.cells[(x, y - 1)]
-            if not sys.v_allows(below, c):
-                return Violation("vertical", k, (x, y), (x, y - 1), (below, c))
-    return None
+    return check_sequence(sys, tri.to_sequence())
 
 
 def is_prefix(p: Sequence[int], s: Sequence[int]) -> bool:

@@ -18,6 +18,7 @@ from .checker import check_sequence, check_triangle
 from .render import FORMATS, Palette, render_triangle
 from .search import Indeterminate, SearchBudget, Unreachable, build_chain, classify
 from .systems import (
+    MAX_CANON_COLORS,
     Bounded,
     HasColoring,
     TriangleColoring,
@@ -107,13 +108,11 @@ def _cmd_census(args: argparse.Namespace) -> int:
     summary = run_census(
         args.colors,
         _budget(args),
-        dedupe=not args.no_dedupe,
         jobs=args.jobs,
         out_path=args.out,
         resume=args.resume,
         stop_after=args.stop_after,
         flush_every=args.flush_every,
-        throttle_s=args.throttle_ms / 1000.0,
     )
     if summary is None:
         print("paused")
@@ -215,14 +214,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="continue an interrupted run from its last complete record")
     p.add_argument("--jobs", type=int, default=1, metavar="N", help="worker processes")
-    p.add_argument("--no-dedupe", action="store_true",
-                   help="classify every system separately instead of per isomorphism class")
     p.add_argument("--stop-after", type=int, default=None, metavar="N",
                    help="pause after producing N records (for testing interruption)")
     p.add_argument("--flush-every", type=int, default=64, metavar="N",
                    help="flush output and advance the cursor every N records")
-    p.add_argument("--throttle-ms", type=float, default=0.0, metavar="MS",
-                   help="sleep between records (for testing interruption)")
     p.set_defaults(func=_cmd_census)
 
     p = subs.add_parser("render", help="draw a coloring")
@@ -235,7 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="expand a witness onto the tiles with x + y <= D (default 9)")
     p.set_defaults(func=_cmd_render)
 
-    p = subs.add_parser("isomorphic", help="test whether two systems differ only by renaming")
+    p = subs.add_parser("isomorphic", help="test whether two systems differ only by renaming "
+                        f"(equal color counts up to {MAX_CANON_COLORS})")
     p.add_argument("system", help="system JSON file")
     p.add_argument("other", help="system JSON file")
     p.set_defaults(func=_cmd_isomorphic)

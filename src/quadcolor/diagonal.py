@@ -48,14 +48,8 @@ def diagonal_of(k: int) -> int:
         raise ValueError(f"tile index must be non-negative, got {k}")
     if k > MAX_INDEX:
         raise ValueError(f"tile index {k} outside supported range [0, {MAX_INDEX}]")
-    m = (isqrt(8 * k + 1) - 1) // 2
-    # isqrt is exact, so these guards never fire; kept as cheap insurance
-    # against the off-by-one failure mode of sqrt-based inversions.
-    while (m + 1) * (m + 2) // 2 <= k:
-        m += 1
-    while m * (m + 1) // 2 > k:
-        m -= 1
-    return m
+    # isqrt is exact, so no off-by-one correction is needed
+    return (isqrt(8 * k + 1) - 1) // 2
 
 
 def tile_at(k: int) -> tuple[int, int]:
@@ -64,15 +58,8 @@ def tile_at(k: int) -> tuple[int, int]:
         raise ValueError(f"tile index must be non-negative, got {k}")
     if k > MAX_INDEX:
         raise ValueError(f"tile index {k} outside supported range [0, {MAX_INDEX}]")
-    # diagonal_of, inlined so each triangular number is computed once;
-    # this is the innermost call of every walk over the quadrant
+    # diagonal_of, inlined: this is the innermost call of every walk over
+    # the quadrant
     m = (isqrt(8 * k + 1) - 1) // 2
-    t = m * (m + 1) // 2
-    while t + m + 1 <= k:
-        m += 1
-        t += m
-    while t > k:
-        t -= m
-        m -= 1
-    x = k - t
+    x = k - m * (m + 1) // 2
     return x, m - x

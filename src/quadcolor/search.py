@@ -97,9 +97,34 @@ class LengthProfile:
     counts: tuple[int, ...]
 
 
+# _GEOMETRY[0][k], _GEOMETRY[1][k]: column and anti-diagonal of tile index k,
+# shared by every search.  It grows by rebinding a longer copy, never in
+# place, so a search in another thread never sees a half-grown table.
+_GEOMETRY: tuple[list, list] = ([0], [0])
+
+
+def _geometry(upto: int) -> tuple[list, list]:
+    """The shared (columns, anti-diagonals) table, at least upto long."""
+    global _GEOMETRY
+    xs, ss = _GEOMETRY
+    if len(xs) < upto:
+        size = max(upto, 2 * len(xs))
+        xs, ss = xs[:], ss[:]
+        while len(xs) < size:
+            x, s = xs[-1], ss[-1]
+            if x == s:
+                xs.append(0)
+                ss.append(s + 1)
+            else:
+                xs.append(x + 1)
+                ss.append(s)
+        _GEOMETRY = (xs, ss)
+    return xs, ss
+
+
 class _Search:
-    """One search session over a fixed system: precomputed successor masks,
-    lazily grown tile geometry, and a node budget shared by all walks."""
+    """One search session over a fixed system: precomputed successor masks
+    and a node budget shared by all walks."""
 
     def __init__(self, sys: ColoringSystem, node_cap: Optional[int] = None, prune: bool = True):
         n = sys.n
@@ -119,19 +144,7 @@ class _Search:
         self.prune = prune
         self.nodes_left = node_cap
         self.nodes_spent = 0
-        self.xs = [0]  # xs[k], ss[k]: column and anti-diagonal of index k
-        self.ss = [0]
-
-    def _grow_geometry(self, upto: int) -> None:
-        xs, ss = self.xs, self.ss
-        while len(xs) < upto:
-            x, s = xs[-1], ss[-1]
-            if x == s:
-                xs.append(0)
-                ss.append(s + 1)
-            else:
-                xs.append(x + 1)
-                ss.append(s)
+        self.max_seen = 0  # longest sequence placed by a budgeted first_sequence
 
     def _spend(self) -> None:
         if self.nodes_left is not None:
@@ -153,17 +166,17 @@ class _Search:
             m &= self.v_next[seq[k - s]]
         return m
 
-    def _cands_toward(self, k: int, seq: list, target: int) -> int:
+    def _cands_within(self, k: int, seq: list, limit: int) -> int:
         """Candidates at k, pruned of colors that cannot survive until the
-        sequence reaches ``target`` elements."""
+        sequence reaches ``limit`` elements."""
         m = self._cands(k, seq)
         if m and self.prune:
             s = self.ss[k]
             # right neighbor of tile k sits at index k+s+2, upper at k+s+1;
-            # a dead color placed now dooms that index if it is < target.
-            if k + s + 2 < target:
+            # a dead color placed now dooms that index if it is < limit.
+            if k + s + 2 < limit:
                 m &= self.live_h
-            if k + s + 1 < target:
+            if k + s + 1 < limit:
                 m &= self.live_v
         return m
 
@@ -174,16 +187,16 @@ class _Search:
         k = len(prefix)
         if k >= target:
             return tuple(prefix)
-        self._grow_geometry(target)
+        xs, ss = self.xs, self.ss = _geometry(target)
         seq = list(prefix)
-        xs, ss = self.xs, self.ss
         h_next, v_next = self.h_next, self.v_next
         live_h, live_v = self.live_h, self.live_v
         prune = self.prune
         nodes_left = self.nodes_left
         nodes = 0
+        deepest = k
         stack = []
-        cand = self._cands_toward(k, seq, target)
+        cand = self._cands_within(k, seq, target)
         try:
             while True:
                 if cand:
@@ -193,6 +206,8 @@ class _Search:
                         if nodes_left == 0:
                             raise BudgetExhausted(self.nodes_spent + nodes)
                         nodes_left -= 1
+                        if k >= deepest:
+                            deepest = k + 1
                     nodes += 1
                     seq.append(low.bit_length() - 1)
                     stack.append(cand)
@@ -221,11 +236,7 @@ class _Search:
         finally:
             self.nodes_spent += nodes
             self.nodes_left = nodes_left
-
-    def exists(self, target: int, prefix: Sequence[int]) -> bool:
-        """True iff some acceptable sequence of length target extends the
-        (already accepted) prefix."""
-        return self.first_sequence(target, prefix) is not None
+            self.max_seen = max(self.max_seen, deepest)
 
     def exhaust(self, cap: int) -> tuple[int, bool, bool]:
         """Explore the whole tree up to length cap.
@@ -234,13 +245,13 @@ class _Search:
         early the moment length cap is reached.  On budget exhaustion
         returns with fully_exhausted=False instead of raising.
         """
-        self._grow_geometry(cap)
+        self.xs, self.ss = _geometry(cap)
         seq: list = []
         stack: list = []
         k = 0
         best = 0
         try:
-            cand = self._cands_best(0, seq, best)
+            cand = self._cands_within(0, seq, best + 1)
             while True:
                 if cand:
                     low = cand & -cand
@@ -253,7 +264,7 @@ class _Search:
                         best = k
                         if best == cap:
                             return best, True, True
-                    cand = self._cands_best(k, seq, best)
+                    cand = self._cands_within(k, seq, best + 1)
                 else:
                     if not stack:
                         return best, False, True
@@ -263,26 +274,14 @@ class _Search:
         except BudgetExhausted:
             return best, False, False
 
-    def _cands_best(self, k: int, seq: list, best: int) -> int:
-        """Candidates at k for max-length search: prune colors whose doomed
-        neighbor caps the branch at or below the best length already found."""
-        m = self._cands(k, seq)
-        if m and self.prune:
-            s = self.ss[k]
-            if k + s + 2 <= best:
-                m &= self.live_h
-            if k + s + 1 <= best:
-                m &= self.live_v
-        return m
-
     def sequences_of_length(self, length: int, limit: Optional[int]) -> tuple[list, bool]:
         """All acceptable sequences of exactly ``length``, lexicographic."""
-        self._grow_geometry(length)
+        self.xs, self.ss = _geometry(length)
         out: list[tuple[int, ...]] = []
         seq: list = []
         stack: list = []
         k = 0
-        cand = self._cands_toward(0, seq, length)
+        cand = self._cands_within(0, seq, length)
         while True:
             if cand:
                 low = cand & -cand
@@ -297,7 +296,7 @@ class _Search:
                 seq.append(c)
                 stack.append(cand)
                 k += 1
-                cand = self._cands_toward(k, seq, length)
+                cand = self._cands_within(k, seq, length)
             else:
                 if not stack:
                     return out, False
@@ -309,7 +308,7 @@ class _Search:
         """counts[k] = number of acceptable sequences of length k+1, k < cap.
         Unpruned: pruning would drop short sequences from the counts.
         Returns (counts, complete); counts are partial when incomplete."""
-        self._grow_geometry(cap)
+        self.xs, self.ss = _geometry(cap)
         counts = [0] * cap
         seq: list = []
         stack: list = []
@@ -412,14 +411,14 @@ def extendable_colors(
         raise InputError(f"horizon {horizon} shorter than the prefix ({len(prefix)})")
     target = max(horizon, len(prefix) + 1)
     search = _Search(sys, node_cap=node_cap)
-    search._grow_geometry(len(prefix) + 1)
+    search.xs, search.ss = _geometry(len(prefix) + 1)
     out = set()
     cand = search._cands(len(prefix), list(prefix))
     while cand:
         low = cand & -cand
         cand ^= low
         c = low.bit_length() - 1
-        if search.exists(target, prefix + (c,)):
+        if search.first_sequence(target, prefix + (c,)) is not None:
             out.add(c)
     return frozenset(out)
 
@@ -449,7 +448,7 @@ def build_chain(
     try:
         found = search.first_sequence(horizon, (sys.origin,))
     except BudgetExhausted:
-        return Indeterminate(max_seen=0, nodes=search.nodes_spent)
+        return Indeterminate(max_seen=search.max_seen, nodes=search.nodes_spent)
     if found is None:
         return Unreachable(horizon)
     return found

@@ -187,25 +187,13 @@ def canonical_id(sys: ColoringSystem) -> str:
 
 
 def is_isomorphic(s1: ColoringSystem, s2: ColoringSystem) -> bool:
-    """Direct bijection search; mismatched color counts compare unequal."""
+    """Canonical-form equality; mismatched color counts compare unequal.
+
+    Systems with equal color counts above MAX_CANON_COLORS raise InputError,
+    because their canonical forms are not computed."""
     require_valid(s1)
     require_valid(s2)
-    if s1.n != s2.n:
-        return False
-    if bin(s1.h_mask).count("1") != bin(s2.h_mask).count("1"):
-        return False
-    if bin(s1.v_mask).count("1") != bin(s2.v_mask).count("1"):
-        return False
-    n = s1.n
-    for perm in permutations(range(n)):
-        if perm[s1.origin] != s2.origin:
-            continue
-        if (
-            _permute_mask(s1.h_mask, perm, n) == s2.h_mask
-            and _permute_mask(s1.v_mask, perm, n) == s2.v_mask
-        ):
-            return True
-    return False
+    return s1.n == s2.n and canonical_form(s1) == canonical_form(s2)
 
 
 # ---------------------------------------------------------------------------

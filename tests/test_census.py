@@ -7,6 +7,7 @@ import os
 import pytest
 
 import quadcolor as qc
+from quadcolor import census
 from quadcolor.census import census_records
 from conftest import brute_max_length, brute_torus_colorings
 
@@ -120,12 +121,11 @@ def test_record_line_parse_is_strict():
 
 def test_dedupe_matches_direct_classification():
     budget = qc.SearchBudget(depth_cap=16, period_cap=3)
-    shared = list(census_records(2, budget, dedupe=True))
-    direct = list(census_records(2, budget, dedupe=False))
-    for a, b in zip(shared, direct):
-        assert qc.verdict_kind(a.verdict) == qc.verdict_kind(b.verdict)
-        if isinstance(a.verdict, qc.Bounded):
-            assert a.verdict.max_len == b.verdict.max_len
+    for rec in census_records(2, budget):
+        direct = qc.classify(rec.system, budget)
+        assert qc.verdict_kind(rec.verdict) == qc.verdict_kind(direct)
+        if isinstance(rec.verdict, qc.Bounded):
+            assert rec.verdict.max_len == direct.max_len
 
 
 def test_relabeled_witnesses_certify_their_own_system():
@@ -189,8 +189,28 @@ def test_run_census_workers_agree(tmp_path):
     solo = tmp_path / "solo.jsonl"
     pooled = tmp_path / "pooled.jsonl"
     qc.run_census(2, CAPS, jobs=1, out_path=str(solo))
-    qc.run_census(2, CAPS, jobs=3, out_path=str(pooled))
+    summary = qc.run_census(2, CAPS, jobs=3, out_path=str(pooled))
     assert solo.read_bytes() == pooled.read_bytes()
+    # the champion survives merging the chunk totals, ties included
+    assert qc.summary_to_json(summary) == N2_SUMMARY
+
+
+def test_run_classifies_each_class_once(monkeypatch):
+    # at jobs=1 the range is cut into 8 chunks, and a class spans several of
+    # them; a paused run classifies only systems it writes
+    classified = []
+
+    def counting(sys, budget):
+        classified.append(sys)
+        return qc.classify(sys, budget)
+
+    monkeypatch.setattr(census, "classify", counting)
+    qc.run_census(2, CAPS)
+    classes = {qc.canonical_form(sys) for sys in qc.enumerate_systems(2)}
+    assert sorted(map(qc.system_index, classified)) == sorted(map(qc.system_index, classes))
+    classified.clear()
+    qc.run_census(2, CAPS, stop_after=3)
+    assert 1 <= len(classified) <= 3
 
 
 def test_stop_after_pauses_and_resume_completes(tmp_path):
@@ -222,6 +242,21 @@ def test_resume_rejects_mismatched_budget(tmp_path):
         qc.run_census(
             2, qc.SearchBudget(depth_cap=8, period_cap=4), out_path=str(out), resume=True
         )
+
+
+@pytest.mark.parametrize("damage", ["deleted", "not json"])
+def test_resume_rejects_missing_or_unreadable_cursor(tmp_path, damage):
+    # the cursor is the only record of the budget, so resume cannot go on without it
+    out = tmp_path / "paused.jsonl"
+    cursor = str(out) + ".cursor"
+    qc.run_census(2, CAPS, out_path=str(out), stop_after=10)
+    if damage == "deleted":
+        os.remove(cursor)
+    else:
+        with open(cursor, "w") as fh:
+            fh.write(damage)
+    with pytest.raises(qc.InputError):
+        qc.run_census(2, CAPS, out_path=str(out), resume=True)
 
 
 def test_run_census_validates_knobs(tmp_path):

@@ -155,7 +155,8 @@ def test_node_budget_reports_indeterminate():
     assert isinstance(result, qc.Indeterminate)
     assert result.nodes == 5
     chain = qc.build_chain(s, 40, qc.SearchBudget(depth_cap=40, node_cap=5))
-    assert isinstance(chain, qc.Indeterminate)
+    # the origin plus five placements: the deepest prefix reached
+    assert chain == qc.Indeterminate(max_seen=6, nodes=5)
     with pytest.raises(qc.BudgetExhausted):
         qc.extendable_colors(s, (0,), 64, node_cap=3)
 
