@@ -296,6 +296,11 @@ def summarize_records(n: int, records: Iterable[CensusRecord]) -> CensusSummary:
 # all of its chunks; run_census empties the table when it finishes.
 _classes: dict = {}
 
+# Most systems in one chunk.  A chunk's lines are held in memory until the
+# whole chunk is written, so the cap bounds both the memory a chunk holds
+# and how far the output file lags behind the work done.
+_CHUNK_CAP = 4096
+
 
 def _chunk(task: tuple) -> tuple[list, _Totals]:
     """Record lines for systems start..stop-1, and the totals over them."""
@@ -404,8 +409,9 @@ def run_census(
     resume=True an existing output file is extended from its last complete
     record instead of being restarted.
 
-    The index range is cut into chunks, each classified in one piece (by
-    a pool of ``jobs`` workers when jobs > 1) and written in index order.
+    The index range is cut into chunks of at most 4,096 systems, each
+    classified in one piece (by a pool of ``jobs`` workers when jobs > 1)
+    and written in index order.
     """
     _check_color_count(n)
     if not isinstance(jobs, int) or jobs < 1:
@@ -431,7 +437,7 @@ def run_census(
 
     paused = stop_after is not None and start + stop_after < total
     stop = start + stop_after if paused else total
-    chunk = max(1, -(-(total - start) // (jobs * 8)))
+    chunk = max(1, min(_CHUNK_CAP, -(-(total - start) // (jobs * 8))))
     tasks = [(n, budget, a, min(a + chunk, stop)) for a in range(start, stop, chunk)]
     emitted = 0
     out = open(out_path, "a", encoding="utf-8") if out_path is not None else None

@@ -80,13 +80,19 @@ def check_sequence(sys: ColoringSystem, seq: Sequence[int]) -> Optional[Violatio
     return None
 
 
+_MISSING = object()  # stands in for a tile absent from a triangle's domain
+
+
 def check_triangle(sys: ColoringSystem, tri: TriangleColoring) -> Optional[Violation]:
-    """check_sequence on the diagonal-order serialization of the grid form."""
+    """check_sequence on the diagonal-order serialization of the grid form,
+    read off in one pass; a domain that is not the depth-prefix staircase
+    raises InputError with domain_problems' message."""
     require_valid(sys)
-    problems = domain_problems(tri)
-    if problems:
-        raise InputError("; ".join(problems))
-    return check_sequence(sys, tri.to_sequence())
+    cells = tri.cells
+    seq = [cells.get(tile_at(k), _MISSING) for k in range(len(cells))]
+    if not seq or len(seq) != tri.depth + 1 or _MISSING in seq:
+        raise InputError("; ".join(domain_problems(tri)))
+    return check_sequence(sys, seq)
 
 
 def is_prefix(p: Sequence[int], s: Sequence[int]) -> bool:

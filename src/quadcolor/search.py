@@ -243,20 +243,31 @@ class _Search:
 
         Returns (longest length seen, reached cap, fully exhausted).  Stops
         early the moment length cap is reached.  On budget exhaustion
-        returns with fully_exhausted=False instead of raising.
+        returns with fully_exhausted=False instead of raising.  Inlined on
+        locals like first_sequence; colors are pruned against the longest
+        length seen so far plus one.
         """
-        self.xs, self.ss = _geometry(cap)
+        xs, ss = self.xs, self.ss = _geometry(cap)
+        h_next, v_next = self.h_next, self.v_next
+        live_h, live_v = self.live_h, self.live_v
+        prune = self.prune
+        nodes_left = self.nodes_left
+        nodes = 0
         seq: list = []
         stack: list = []
         k = 0
         best = 0
+        cand = self.origin_bit
         try:
-            cand = self._cands_within(0, seq, best + 1)
             while True:
                 if cand:
                     low = cand & -cand
                     cand ^= low
-                    self._spend()
+                    if nodes_left is not None:
+                        if nodes_left == 0:
+                            return best, False, False
+                        nodes_left -= 1
+                    nodes += 1
                     seq.append(low.bit_length() - 1)
                     stack.append(cand)
                     k += 1
@@ -264,15 +275,28 @@ class _Search:
                         best = k
                         if best == cap:
                             return best, True, True
-                    cand = self._cands_within(k, seq, best + 1)
+                    x = xs[k]
+                    s = ss[k]
+                    if x:
+                        cand = h_next[seq[k - s - 1]]
+                        if x < s:
+                            cand &= v_next[seq[k - s]]
+                    else:
+                        cand = v_next[seq[k - s]]
+                    if cand and prune:
+                        if k + s + 2 <= best:
+                            cand &= live_h
+                        if k + s + 1 <= best:
+                            cand &= live_v
                 else:
                     if not stack:
                         return best, False, True
                     cand = stack.pop()
                     seq.pop()
                     k -= 1
-        except BudgetExhausted:
-            return best, False, False
+        finally:
+            self.nodes_spent += nodes
+            self.nodes_left = nodes_left
 
     def sequences_of_length(self, length: int, limit: Optional[int]) -> tuple[list, bool]:
         """All acceptable sequences of exactly ``length``, lexicographic."""
@@ -454,9 +478,15 @@ def build_chain(
     return found
 
 
-def _wrap_rows(sys: ColoringSystem, p: int) -> list:
-    """All length-p rows legal on a width-p cylinder: consecutive pairs in H
-    and the wrap pair (row[-1], row[0]) in H.  Lexicographically sorted."""
+def _row_graph(sys: ColoringSystem, p: int) -> tuple[list, list, int]:
+    """The width-p row graph, as (rows, succ, starts).
+
+    rows: every length-p row legal on a width-p cylinder (consecutive pairs
+    and the wrap pair (row[-1], row[0]) in H), lexicographically sorted.
+    succ[i]: the bitset of row indices j such that rows[j] may sit on top
+    of rows[i], i.e. every column pair (rows[i][x], rows[j][x]) is in V.
+    starts: the bitset of the rows whose first cell has the origin color.
+    """
     n = sys.n
     h_next = [sys.h_successors(c) for c in range(n)]
     rows = []
@@ -475,7 +505,31 @@ def _wrap_rows(sys: ColoringSystem, p: int) -> list:
         for row in partial:
             if sys.h_allows(row[-1], row[0]):
                 rows.append(row)
-    return rows
+    # with_color[x][c]: the rows with color c at position x
+    with_color = [[0] * n for _ in range(p)]
+    for j, row in enumerate(rows):
+        for x, c in enumerate(row):
+            with_color[x][c] |= 1 << j
+    # above[x][c]: the rows whose color at position x may sit on top of c
+    above = []
+    for x in range(p):
+        masks = []
+        for c in range(n):
+            allowed = sys.v_successors(c)
+            acc = 0
+            while allowed:
+                low = allowed & -allowed
+                allowed ^= low
+                acc |= with_color[x][low.bit_length() - 1]
+            masks.append(acc)
+        above.append(masks)
+    succ = []
+    for row in rows:
+        acc = (1 << len(rows)) - 1
+        for x, c in enumerate(row):
+            acc &= above[x][c]
+        succ.append(acc)
+    return rows, succ, with_color[0][sys.origin]
 
 
 def find_periodic_witness(
@@ -483,88 +537,78 @@ def find_periodic_witness(
 ) -> Optional[PeriodicWitness]:
     """Search torus colorings over all periods up to the cap, smallest area
     first (ties by p, then q).  Cell (0, 0) is pinned to the origin color.
-    Returns the first witness found, or None.
+    Returns the first witness found, or None; raises BudgetExhausted when
+    the node cap runs out first (each row placed costs p nodes).
 
     Rows are the search unit: a p x q torus coloring is a closed walk of
-    length q in the graph whose nodes are the horizontally-wrap-legal rows
-    and whose edges are vertical compatibility.  Walking that graph with
-    rows in ascending order visits complete colorings in the same order as
-    a cell-by-cell search, so the first witness is the lexicographically
-    least one, but failed branches die a whole row at a time.
+    length q in the row graph, whose nodes are the horizontally wrap-legal
+    rows and whose edges are vertical compatibility.  The graph is built
+    once per width p, with each row's successors as a bitset of row
+    indices.  Rows are sorted, so walking successors lowest bit first
+    visits complete colorings in the same order as a cell-by-cell search:
+    the first witness is the lexicographically least one, but failed
+    branches die a whole row at a time.
     """
     require_valid(sys)
-    n = sys.n
-    v_next = [sys.v_successors(c) for c in range(n)]
-
-    nodes_left = [budget.node_cap]
-
-    def spend(amount: int):
-        if nodes_left[0] is not None:
-            if nodes_left[0] < amount:
-                raise BudgetExhausted((budget.node_cap or 0) - nodes_left[0])
-            nodes_left[0] -= amount
-
-    row_cache: dict = {}
+    node_cap = budget.node_cap
+    nodes_left = node_cap
+    graphs: dict = {}
     periods = sorted(
         (p * q, p, q)
         for p in range(1, budget.period_cap + 1)
         for q in range(1, budget.period_cap + 1)
     )
     for _, p, q in periods:
-        if p not in row_cache:
-            row_cache[p] = _wrap_rows(sys, p)
-        rows = row_cache[p]
-        starts = [r for r in rows if r[0] == sys.origin]
-        compat: dict = {}
-
-        def successors(row: tuple) -> list:
-            out = compat.get(row)
-            if out is None:
-                masks = [v_next[c] for c in row]
-                out = [r for r in rows if all(m >> c & 1 for m, c in zip(masks, r))]
-                compat[row] = out
-            return out
-
-        # DFS over closed walks start -> ... -> start of length q
-        for start in starts:
-            spend(p)
-            walk = [start]
-            iters = [iter(successors(start))]
-            while iters:
-                if len(walk) == q:
-                    if walk[0] in successors(walk[-1]):
-                        return PeriodicWitness(p=p, q=q, rows=tuple(walk))
+        if p not in graphs:
+            graphs[p] = _row_graph(sys, p)
+        rows, succ, starts = graphs[p]
+        # DFS over walks of q rows: stack[i] holds the rows still to try as
+        # walk[i], so len(stack) == len(walk) + 1; a walk of q rows is a
+        # witness when its last row's successors include its first row
+        walk: list = []
+        stack = [starts]
+        while stack:
+            cand = stack[-1]
+            if not cand:
+                stack.pop()
+                if walk:
                     walk.pop()
-                    iters.pop()
-                    continue
-                step = next(iters[-1], None)
-                if step is None:
-                    walk.pop()
-                    iters.pop()
-                else:
-                    spend(p)
-                    walk.append(step)
-                    iters.append(iter(successors(step)))
+                continue
+            low = cand & -cand
+            stack[-1] = cand ^ low
+            if nodes_left is not None:
+                if nodes_left < p:
+                    raise BudgetExhausted(node_cap - nodes_left)
+                nodes_left -= p
+            j = low.bit_length() - 1
+            if len(walk) + 1 < q:
+                walk.append(j)
+                stack.append(succ[j])
+            elif succ[j] >> (walk[0] if walk else j) & 1:
+                walk.append(j)
+                return PeriodicWitness(p=p, q=q, rows=tuple(rows[i] for i in walk))
     return None
 
 
 def classify(sys: ColoringSystem, budget: SearchBudget) -> Verdict:
     """Full verdict for one system.
 
-    Witnesses are tried first (cheap at small period caps, and a witness
-    settles the question).  A Bounded verdict requires full exhaustion of
-    the sequence tree, which cannot coexist with any acceptable coloring,
-    so an aborted witness search never makes Bounded unsound.
+    The sequence tree is exhausted first: ExactMax proves the system
+    Bounded.  Only when it reached the depth cap, or ran out of nodes, is a
+    torus witness searched for.  A witness colors the whole quadrant, so it
+    cannot coexist with an exhausted tree, and the two searches spend
+    separate node budgets; the verdict is therefore the same as trying
+    witnesses first, at a fraction of the cost.
     """
     require_valid(sys)
+    result = max_accept_length(sys, budget)
+    if isinstance(result, ExactMax):
+        return Bounded(result.length)
     try:
         witness = find_periodic_witness(sys, budget)
     except BudgetExhausted:
         witness = None
     if witness is not None:
         return HasColoring(witness)
-    result = max_accept_length(sys, budget)
-    if isinstance(result, ExactMax):
-        return Bounded(result.length)
     depth = result.depth if isinstance(result, ReachedCap) else result.max_seen
     return Unknown(depth_reached=depth, period_cap_reached=budget.period_cap)

@@ -213,6 +213,26 @@ def test_run_classifies_each_class_once(monkeypatch):
     assert 1 <= len(classified) <= 3
 
 
+def test_capped_chunks_match_direct_records(tmp_path, monkeypatch):
+    # three chunks of at most _CHUNK_CAP systems, the last one partial
+    budget = qc.SearchBudget(depth_cap=12, period_cap=2)
+    cap = census._CHUNK_CAP
+    stop = 2 * cap + 5
+    out = tmp_path / "n3.jsonl"
+    assert qc.run_census(3, budget, jobs=2, out_path=str(out), stop_after=stop) is None
+    expected = "".join(qc.record_line(rec) + "\n" for rec in census_records(3, budget, stop=stop))
+    assert out.read_text() == expected
+    spans = []
+
+    def record_span(task):
+        spans.append(task[2:])
+        return [], census._Totals(3)
+
+    monkeypatch.setattr(census, "_chunk", record_span)
+    qc.run_census(3, budget, stop_after=stop)
+    assert spans == [(0, cap), (cap, 2 * cap), (2 * cap, stop)]
+
+
 def test_stop_after_pauses_and_resume_completes(tmp_path):
     out = tmp_path / "paused.jsonl"
     assert qc.run_census(2, CAPS, out_path=str(out), stop_after=100) is None

@@ -63,6 +63,21 @@ def test_triangle_and_sequence_checkers_agree(example_system, example_sequence):
     assert (v_seq.kind, v_seq.index, v_seq.tile) == (v_tri.kind, v_tri.index, v_tri.tile)
 
 
+@pytest.mark.parametrize(
+    "depth, cells, message",
+    [
+        (2, {(0, 0): 0, (0, 1): 0}, "domain has 2 tiles, expected 3"),
+        (1, {(0, 0): 0, (1, 0): 1}, "tile (0, 1) (diagonal index 1) missing from domain"),
+        (-1, {}, "depth -1 is negative"),
+    ],
+)
+def test_check_triangle_rejects_a_wrong_domain(depth, cells, message):
+    tri = qc.TriangleColoring(depth=depth, cells=cells)
+    with pytest.raises(qc.InputError) as raised:
+        qc.check_triangle(CHECKER_SYSTEM, tri)
+    assert str(raised.value) == message
+
+
 @given(system_strategy(), st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
 def test_checker_matches_brute_oracle(s, rng):

@@ -164,9 +164,9 @@ def test_node_budget_reports_indeterminate():
 @given(system_strategy(max_colors=3))
 @settings(max_examples=80, deadline=None)
 def test_witness_is_first_in_period_order(s):
-    found = qc.find_periodic_witness(s, qc.SearchBudget(period_cap=2))
+    found = qc.find_periodic_witness(s, qc.SearchBudget(period_cap=3))
     expected = None
-    for _, p, q in sorted((p * q, p, q) for p in (1, 2) for q in (1, 2)):
+    for _, p, q in sorted((p * q, p, q) for p in (1, 2, 3) for q in (1, 2, 3)):
         tori = brute_torus_colorings(s, p, q)
         if tori:
             expected = (p, q, min(tori))
@@ -210,6 +210,44 @@ def test_classify_with_starved_node_budget_still_sound():
             assert verdict.max_len == brute_max_length(s, 13)
         elif isinstance(verdict, qc.HasColoring):
             assert verdict.witness.problems(s) == []
+
+
+def _witness_first(s, budget):
+    """classify composed the other way round: torus witness, then exhaustion."""
+    try:
+        witness = qc.find_periodic_witness(s, budget)
+    except qc.BudgetExhausted:
+        witness = None
+    if witness is not None:
+        return qc.HasColoring(witness)
+    result = qc.max_accept_length(s, budget)
+    if isinstance(result, qc.ExactMax):
+        return qc.Bounded(result.length)
+    depth = result.depth if isinstance(result, qc.ReachedCap) else result.max_seen
+    return qc.Unknown(depth_reached=depth, period_cap_reached=budget.period_cap)
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        qc.SearchBudget(depth_cap=6, period_cap=2),
+        qc.SearchBudget(depth_cap=12, period_cap=3),
+        qc.SearchBudget(depth_cap=12, period_cap=2, node_cap=6),
+    ],
+    ids=["6/2", "12/3", "12/2 node_cap=6"],
+)
+def test_exhausting_first_matches_witness_first(budget):
+    # classify exhausts the tree before it looks for a witness; a witness
+    # rules out an exhausted tree and the two node budgets are separate,
+    # so the order cannot change a verdict
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(60):
+        s = random_system(rng, rng.randrange(1, 4))
+        verdict = qc.classify(s, budget)
+        assert verdict == _witness_first(s, budget)
+        kinds.add(qc.verdict_kind(verdict))
+    assert kinds == {"bounded", "has_coloring", "unknown"}
 
 
 def test_classify_example_is_unknown_at_default_caps(example_system):
