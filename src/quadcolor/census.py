@@ -7,9 +7,10 @@ of a system goes through its canonical form, so each isomorphism class is
 classified once per census process however the index range is cut into
 chunks, and every member of a class receives the same verdict.
 
-Output is JSON lines, one record per system, streamed with periodic
-flushes and a cursor sidecar so an interrupted run can resume where the
-last complete record ended.
+Output is JSON lines, one record per system, written and flushed one
+chunk at a time.  A cursor sidecar, written once when the file is created,
+records the budget, so an interrupted run can resume where the last
+complete record ended without mixing records of different budgets.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .systems import (
     PeriodicWitness,
     Unknown,
     Verdict,
+    _class_id,
     canonicalize,
     verdict_kind,
 )
@@ -161,7 +163,7 @@ def _records(
     for index in range(start, stop):
         sys = system_at(n, index)
         canon, perm = canonicalize(sys)
-        cid = f"{canon.n}.{canon.origin}.{canon.h_mask:x}.{canon.v_mask:x}"
+        cid = _class_id(canon)
         key = (canon.origin, canon.h_mask, canon.v_mask)
         verdict = cache.get(key)
         if verdict is None:
@@ -323,18 +325,13 @@ def _cursor_path(out_path: str) -> str:
     return out_path + ".cursor"
 
 
-def _cursor_payload(n: int, budget: SearchBudget, next_index: int) -> dict:
+def _cursor_payload(n: int, budget: SearchBudget) -> dict:
     return {
         "n": n,
         "depth_cap": budget.depth_cap,
         "period_cap": budget.period_cap,
         "node_cap": budget.node_cap,
-        "next_index": next_index,
     }
-
-
-def _write_cursor(out_path: str, n: int, budget: SearchBudget, next_index: int) -> None:
-    _write_atomic(_cursor_path(out_path), dump_pretty(_cursor_payload(n, budget, next_index)))
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -360,12 +357,11 @@ def _check_cursor(out_path: str, n: int, budget: SearchBudget) -> None:
         prior = None
     if not isinstance(prior, dict):
         raise InputError(f"cursor {path} is unreadable, so the budget of {out_path} is unknown")
-    current = _cursor_payload(n, budget, 0)
-    for key in ("n", "depth_cap", "period_cap", "node_cap"):
-        if prior.get(key) != current[key]:
+    for key, value in _cursor_payload(n, budget).items():
+        if prior.get(key) != value:
             raise InputError(
                 f"{out_path} was produced with {key}={prior.get(key)!r}; "
-                f"resuming with {key}={current[key]!r} would mix incomparable records"
+                f"resuming with {key}={value!r} would mix incomparable records"
             )
 
 
@@ -400,7 +396,6 @@ def run_census(
     out_path: Optional[str] = None,
     resume: bool = False,
     stop_after: Optional[int] = None,
-    flush_every: int = 64,
 ) -> Optional[CensusSummary]:
     """Classify all systems at color count n, optionally streaming to a file.
 
@@ -410,14 +405,15 @@ def run_census(
     record instead of being restarted.
 
     The index range is cut into chunks of at most 4,096 systems, each
-    classified in one piece (by a pool of ``jobs`` workers when jobs > 1)
-    and written in index order.
+    classified in one piece (by a pool of ``jobs`` workers when jobs > 1),
+    then written and flushed in index order.  The cursor sidecar holding
+    the budget is written once, when the output file is created, and
+    removed when the run completes; resume re-scans the record file for
+    its position and truncates any torn tail.
     """
     _check_color_count(n)
     if not isinstance(jobs, int) or jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs!r}")
-    if flush_every < 1:
-        raise InputError(f"flush_every must be >= 1, got {flush_every!r}")
     if stop_after is not None and stop_after < 0:
         raise InputError(f"stop_after must be >= 0, got {stop_after!r}")
     if resume and out_path is None:
@@ -426,45 +422,39 @@ def run_census(
     total = total_systems(n)
     totals = _Totals(n)
     start = 0
-    if out_path is not None:
-        if resume and os.path.exists(out_path):
-            _check_cursor(out_path, n, budget)
-            start = _scan_existing(out_path, n, totals)
-        else:
-            with open(out_path, "w", encoding="utf-8"):
-                pass
-            _write_cursor(out_path, n, budget, 0)
-
-    paused = stop_after is not None and start + stop_after < total
-    stop = start + stop_after if paused else total
-    chunk = max(1, min(_CHUNK_CAP, -(-(total - start) // (jobs * 8))))
-    tasks = [(n, budget, a, min(a + chunk, stop)) for a in range(start, stop, chunk)]
-    emitted = 0
-    out = open(out_path, "a", encoding="utf-8") if out_path is not None else None
+    out = None
     pool = None
     try:
+        if out_path is not None:
+            if resume and os.path.exists(out_path):
+                _check_cursor(out_path, n, budget)
+                start = _scan_existing(out_path, n, totals)
+                out = open(out_path, "a", encoding="utf-8")
+            else:
+                # truncate first: a new cursor beside old records would mix budgets
+                out = open(out_path, "w", encoding="utf-8")
+                _write_atomic(_cursor_path(out_path), dump_pretty(_cursor_payload(n, budget)))
+
+        paused = stop_after is not None and start + stop_after < total
+        stop = start + stop_after if paused else total
+        chunk = max(1, min(_CHUNK_CAP, -(-(total - start) // (jobs * 8))))
+        tasks = [(n, budget, a, min(a + chunk, stop)) for a in range(start, stop, chunk)]
         if jobs > 1 and tasks:
             pool = multiprocessing.Pool(processes=jobs)
             chunks = pool.imap(_chunk, tasks)
         else:
             chunks = map(_chunk, tasks)
         for lines, chunk_totals in chunks:
-            for line in lines:
-                emitted += 1
-                if out is not None:
-                    out.write(line + "\n")
-                    if emitted % flush_every == 0:
-                        out.flush()
-                        _write_cursor(out_path, n, budget, start + emitted)
+            if out is not None:
+                out.writelines(line + "\n" for line in lines)
+                out.flush()
             totals.merge(chunk_totals)
     finally:
         _classes.clear()
         if pool is not None:
             pool.terminate()
         if out is not None:
-            out.flush()
             out.close()
-            _write_cursor(out_path, n, budget, start + emitted)
     if paused:
         return None
     summary = totals.summary()

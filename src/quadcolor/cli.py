@@ -112,7 +112,6 @@ def _cmd_census(args: argparse.Namespace) -> int:
         out_path=args.out,
         resume=args.resume,
         stop_after=args.stop_after,
-        flush_every=args.flush_every,
     )
     if summary is None:
         print("paused")
@@ -216,8 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, metavar="N", help="worker processes")
     p.add_argument("--stop-after", type=int, default=None, metavar="N",
                    help="pause after producing N records (for testing interruption)")
-    p.add_argument("--flush-every", type=int, default=64, metavar="N",
-                   help="flush output and advance the cursor every N records")
     p.set_defaults(func=_cmd_census)
 
     p = subs.add_parser("render", help="draw a coloring")

@@ -8,10 +8,12 @@ ascending numeric order, which makes every result deterministic:
 enumerations come out lexicographic and first-found witnesses are
 reproducible.
 
-Searches optionally prune colors whose H- or V-successor set is empty
-once the doomed neighbor tile falls inside the current target; this never
-changes any result (tested against the unpruned oracle) but lets bounded
-systems die fast.
+The leaf walk and the exhaustion prune colors whose H- or V-successor set
+is empty once the neighbor tile they doom falls inside the target length
+(for exhaustion, the longest length seen so far).  This never changes a
+result (the tests compare against brute-force filtration) but lets bounded
+systems die fast.  The length profile does not prune, since pruning would
+drop short sequences from its counts.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ class _Search:
     """One search session over a fixed system: precomputed successor masks
     and a node budget shared by all walks."""
 
-    def __init__(self, sys: ColoringSystem, node_cap: Optional[int] = None, prune: bool = True):
+    def __init__(self, sys: ColoringSystem, node_cap: Optional[int] = None):
         n = sys.n
         self.full = (1 << n) - 1
         self.origin_bit = 1 << sys.origin
@@ -141,24 +143,17 @@ class _Search:
                 live_v |= 1 << c
         self.live_h = live_h
         self.live_v = live_v
-        self.prune = prune
         self.nodes_left = node_cap
         self.nodes_spent = 0
-        self.max_seen = 0  # longest sequence placed by a budgeted first_sequence
+        self.max_seen = 0  # longest sequence placed by a budgeted leaves walk
 
-    def _spend(self) -> None:
-        if self.nodes_left is not None:
-            if self.nodes_left == 0:
-                raise BudgetExhausted(self.nodes_spent)
-            self.nodes_left -= 1
-        self.nodes_spent += 1
-
-    def _cands(self, k: int, seq: list) -> int:
+    def _cands(self, k: int, seq: Sequence[int]) -> int:
         """Colors legal at index k against the already-placed prefix."""
         if k == 0:
             return self.origin_bit
-        x = self.xs[k]
-        s = self.ss[k]
+        xs, ss = _geometry(k + 1)
+        x = xs[k]
+        s = ss[k]
         m = self.full
         if x:
             m &= self.h_next[seq[k - s - 1]]
@@ -166,37 +161,38 @@ class _Search:
             m &= self.v_next[seq[k - s]]
         return m
 
-    def _cands_within(self, k: int, seq: list, limit: int) -> int:
-        """Candidates at k, pruned of colors that cannot survive until the
-        sequence reaches ``limit`` elements."""
-        m = self._cands(k, seq)
-        if m and self.prune:
-            s = self.ss[k]
-            # right neighbor of tile k sits at index k+s+2, upper at k+s+1;
-            # a dead color placed now dooms that index if it is < limit.
-            if k + s + 2 < limit:
-                m &= self.live_h
-            if k + s + 1 < limit:
-                m &= self.live_v
-        return m
+    def leaves(self, target: int, prefix: Sequence[int], want: Optional[int]) -> list:
+        """The first ``want`` acceptable length-``target`` extensions of the
+        (already accepted) prefix in lexicographic order, or all of them
+        when want is None.
 
-    def first_sequence(self, target: int, prefix: Sequence[int]) -> Optional[tuple]:
-        """Lexicographically least acceptable length-``target`` extension of
-        the (already accepted) prefix, or None.  This is the hot loop of the
-        whole package, so candidate masks are computed inline on locals."""
+        Colors whose H- or V-successor set is empty are pruned once the
+        neighbor tile they doom falls inside the target.  This is the hot
+        loop of the whole package, so candidate masks are computed inline
+        on locals.
+        """
         k = len(prefix)
         if k >= target:
-            return tuple(prefix)
-        xs, ss = self.xs, self.ss = _geometry(target)
+            return [tuple(prefix)]
+        xs, ss = _geometry(target)
         seq = list(prefix)
         h_next, v_next = self.h_next, self.v_next
         live_h, live_v = self.live_h, self.live_v
-        prune = self.prune
         nodes_left = self.nodes_left
         nodes = 0
         deepest = k
+        last = target - 1
+        out: list = []
         stack = []
-        cand = self._cands_within(k, seq, target)
+        cand = self._cands(k, seq)
+        if cand:
+            # right neighbor of tile k sits at index k+s+2, upper at k+s+1;
+            # a dead color placed at k dooms that index if it is < target
+            s = ss[k]
+            if k + s + 2 < target:
+                cand &= live_h
+            if k + s + 1 < target:
+                cand &= live_v
         try:
             while True:
                 if cand:
@@ -209,11 +205,14 @@ class _Search:
                         if k >= deepest:
                             deepest = k + 1
                     nodes += 1
+                    if k == last:
+                        out.append(tuple(seq) + (low.bit_length() - 1,))
+                        if len(out) == want:
+                            return out
+                        continue
                     seq.append(low.bit_length() - 1)
                     stack.append(cand)
                     k += 1
-                    if k == target:
-                        return tuple(seq)
                     x = xs[k]
                     s = ss[k]
                     if x:
@@ -222,14 +221,14 @@ class _Search:
                             cand &= v_next[seq[k - s]]
                     else:
                         cand = v_next[seq[k - s]]
-                    if cand and prune:
+                    if cand:
                         if k + s + 2 < target:
                             cand &= live_h
                         if k + s + 1 < target:
                             cand &= live_v
                 else:
                     if not stack:
-                        return None
+                        return out
                     cand = stack.pop()
                     seq.pop()
                     k -= 1
@@ -244,13 +243,12 @@ class _Search:
         Returns (longest length seen, reached cap, fully exhausted).  Stops
         early the moment length cap is reached.  On budget exhaustion
         returns with fully_exhausted=False instead of raising.  Inlined on
-        locals like first_sequence; colors are pruned against the longest
-        length seen so far plus one.
+        locals like leaves; colors are pruned against the longest length
+        seen so far plus one.
         """
-        xs, ss = self.xs, self.ss = _geometry(cap)
+        xs, ss = _geometry(cap)
         h_next, v_next = self.h_next, self.v_next
         live_h, live_v = self.live_h, self.live_v
-        prune = self.prune
         nodes_left = self.nodes_left
         nodes = 0
         seq: list = []
@@ -283,7 +281,7 @@ class _Search:
                             cand &= v_next[seq[k - s]]
                     else:
                         cand = v_next[seq[k - s]]
-                    if cand and prune:
+                    if cand:
                         if k + s + 2 <= best:
                             cand &= live_h
                         if k + s + 1 <= best:
@@ -298,57 +296,31 @@ class _Search:
             self.nodes_spent += nodes
             self.nodes_left = nodes_left
 
-    def sequences_of_length(self, length: int, limit: Optional[int]) -> tuple[list, bool]:
-        """All acceptable sequences of exactly ``length``, lexicographic."""
-        self.xs, self.ss = _geometry(length)
-        out: list[tuple[int, ...]] = []
-        seq: list = []
-        stack: list = []
-        k = 0
-        cand = self._cands_within(0, seq, length)
-        while True:
-            if cand:
-                low = cand & -cand
-                cand ^= low
-                self._spend()
-                c = low.bit_length() - 1
-                if k + 1 == length:
-                    if limit is not None and len(out) >= limit:
-                        return out, True
-                    out.append(tuple(seq) + (c,))
-                    continue
-                seq.append(c)
-                stack.append(cand)
-                k += 1
-                cand = self._cands_within(k, seq, length)
-            else:
-                if not stack:
-                    return out, False
-                cand = stack.pop()
-                seq.pop()
-                k -= 1
-
     def profile(self, cap: int) -> tuple[list, bool]:
         """counts[k] = number of acceptable sequences of length k+1, k < cap.
         Unpruned: pruning would drop short sequences from the counts.
         Returns (counts, complete); counts are partial when incomplete."""
-        self.xs, self.ss = _geometry(cap)
         counts = [0] * cap
+        nodes_left = self.nodes_left
+        nodes = 0
         seq: list = []
         stack: list = []
         k = 0
+        cand = self._cands(0, seq)
         try:
-            cand = self._cands(0, seq)
             while True:
                 if cand:
                     low = cand & -cand
                     cand ^= low
-                    self._spend()
-                    c = low.bit_length() - 1
+                    if nodes_left is not None:
+                        if nodes_left == 0:
+                            return counts, False
+                        nodes_left -= 1
+                    nodes += 1
                     counts[k] += 1
                     if k + 1 == cap:
                         continue
-                    seq.append(c)
+                    seq.append(low.bit_length() - 1)
                     stack.append(cand)
                     k += 1
                     cand = self._cands(k, seq)
@@ -358,12 +330,13 @@ class _Search:
                     cand = stack.pop()
                     seq.pop()
                     k -= 1
-        except BudgetExhausted:
-            return counts, False
+        finally:
+            self.nodes_spent += nodes
+            self.nodes_left = nodes_left
 
 
 def max_accept_length(
-    sys: ColoringSystem, budget: SearchBudget, prune: bool = True
+    sys: ColoringSystem, budget: SearchBudget
 ) -> Union[ExactMax, ReachedCap, Indeterminate]:
     """Longest acceptable sequence length, up to the depth cap.
 
@@ -372,7 +345,7 @@ def max_accept_length(
     the cap.  Indeterminate reports an exhausted node budget.
     """
     require_valid(sys)
-    search = _Search(sys, node_cap=budget.node_cap, prune=prune)
+    search = _Search(sys, node_cap=budget.node_cap)
     best, reached_cap, complete = search.exhaust(budget.depth_cap)
     if reached_cap:
         return ReachedCap(budget.depth_cap)
@@ -386,7 +359,6 @@ def enumerate_sequences(
     length: int,
     limit: Optional[int] = None,
     node_cap: Optional[int] = None,
-    prune: bool = True,
 ) -> Enumeration:
     """All acceptable sequences of exactly ``length``, in lexicographic
     color order, truncated at ``limit`` when given."""
@@ -395,9 +367,10 @@ def enumerate_sequences(
         raise InputError(f"sequence length must be >= 1, got {length}")
     if limit is not None and limit < 0:
         raise InputError(f"limit must be >= 0 or None, got {limit}")
-    search = _Search(sys, node_cap=node_cap, prune=prune)
-    found, truncated = search.sequences_of_length(length, limit)
-    return Enumeration(sequences=tuple(found), truncated=truncated)
+    want = None if limit is None else limit + 1
+    found = _Search(sys, node_cap=node_cap).leaves(length, (), want)
+    truncated = limit is not None and len(found) > limit
+    return Enumeration(sequences=tuple(found[:limit]), truncated=truncated)
 
 
 def length_profile(
@@ -405,7 +378,7 @@ def length_profile(
 ) -> Union[LengthProfile, Indeterminate]:
     """Exact per-length counts up to the depth cap, from one traversal."""
     require_valid(sys)
-    search = _Search(sys, node_cap=budget.node_cap, prune=False)
+    search = _Search(sys, node_cap=budget.node_cap)
     counts, complete = search.profile(budget.depth_cap)
     if not complete:
         longest = max((k + 1 for k, c in enumerate(counts) if c), default=0)
@@ -435,14 +408,13 @@ def extendable_colors(
         raise InputError(f"horizon {horizon} shorter than the prefix ({len(prefix)})")
     target = max(horizon, len(prefix) + 1)
     search = _Search(sys, node_cap=node_cap)
-    search.xs, search.ss = _geometry(len(prefix) + 1)
     out = set()
-    cand = search._cands(len(prefix), list(prefix))
+    cand = search._cands(len(prefix), prefix)
     while cand:
         low = cand & -cand
         cand ^= low
         c = low.bit_length() - 1
-        if search.first_sequence(target, prefix + (c,)) is not None:
+        if search.leaves(target, prefix + (c,), 1):
             out.add(c)
     return frozenset(out)
 
@@ -470,12 +442,12 @@ def build_chain(
     node_cap = budget.node_cap if budget is not None else None
     search = _Search(sys, node_cap=node_cap)
     try:
-        found = search.first_sequence(horizon, (sys.origin,))
+        found = search.leaves(horizon, (sys.origin,), 1)
     except BudgetExhausted:
         return Indeterminate(max_seen=search.max_seen, nodes=search.nodes_spent)
-    if found is None:
+    if not found:
         return Unreachable(horizon)
-    return found
+    return found[0]
 
 
 def _row_graph(sys: ColoringSystem, p: int) -> tuple[list, list, int]:

@@ -182,7 +182,11 @@ def canonical_form(sys: ColoringSystem) -> ColoringSystem:
 
 def canonical_id(sys: ColoringSystem) -> str:
     """Compact stable encoding of the canonical form, used as a class key."""
-    canon = canonical_form(sys)
+    return _class_id(canonical_form(sys))
+
+
+def _class_id(canon: ColoringSystem) -> str:
+    """canonical_id of a system that is already in canonical form."""
     return f"{canon.n}.{canon.origin}.{canon.h_mask:x}.{canon.v_mask:x}"
 
 

@@ -42,14 +42,6 @@ def test_max_length_matches_brute(s):
         assert result == qc.ExactMax(longest)
 
 
-@given(system_strategy(max_colors=3))
-@settings(max_examples=120, deadline=None)
-def test_pruning_changes_nothing(s):
-    assert qc.max_accept_length(s, SMALL, prune=True) == qc.max_accept_length(
-        s, SMALL, prune=False
-    )
-
-
 @given(system_strategy(max_colors=3), st.integers(1, 7))
 @settings(max_examples=120, deadline=None)
 def test_enumerate_matches_brute_filtration(s, length):
@@ -70,6 +62,9 @@ def test_enumerate_truncation(s):
     exact = qc.enumerate_sequences(s, 5, limit=len(full))
     assert not exact.truncated
     assert exact.sequences == full
+    none = qc.enumerate_sequences(s, 5, limit=0)
+    assert none.sequences == ()
+    assert none.truncated == bool(full)
 
 
 @given(system_strategy(max_colors=3))
