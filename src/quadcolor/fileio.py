@@ -40,10 +40,6 @@ def dump_pretty(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def dump_compact(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
-
-
 def load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()

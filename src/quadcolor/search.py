@@ -563,16 +563,25 @@ def find_periodic_witness(
 
 
 def classify(sys: ColoringSystem, budget: SearchBudget) -> Verdict:
-    """Full verdict for one system.
+    """Full verdict for one system, in three steps.
 
-    The sequence tree is exhausted first: ExactMax proves the system
-    Bounded.  Only when it reached the depth cap, or ran out of nodes, is a
-    torus witness searched for.  A witness colors the whole quadrant, so it
-    cannot coexist with an exhausted tree, and the two searches spend
-    separate node budgets; the verdict is therefore the same as trying
-    witnesses first, at a fraction of the cost.
+    1. An origin color with an H and a V self-loop colors the quadrant
+       constantly, and the 1x1 torus is returned without search.
+    2. The sequence tree is exhausted: ExactMax proves the system Bounded.
+    3. Only when exhaustion reached the depth cap, or ran out of nodes, is
+       a torus witness searched for.
+
+    No order of these steps changes a verdict.  A witness colors the whole
+    quadrant, so it cannot coexist with an exhausted tree, and the two
+    searches spend separate node budgets.  So steps 2 and 3 give the same
+    verdict as trying witnesses first, and for a system that step 1 settles
+    they return its 1x1 torus: it is the first period find_periodic_witness
+    tries, at a cost of one node, and node_cap is always >= 1.
     """
     require_valid(sys)
+    o = sys.origin
+    if sys.h_allows(o, o) and sys.v_allows(o, o):
+        return HasColoring(PeriodicWitness(p=1, q=1, rows=((o,),)))
     result = max_accept_length(sys, budget)
     if isinstance(result, ExactMax):
         return Bounded(result.length)

@@ -2,6 +2,7 @@
 record serialization, dedupe correctness, resumable streaming, and the
 frozen small-n summaries."""
 
+import hashlib
 import json
 import os
 
@@ -118,6 +119,68 @@ def test_record_line_parse_is_strict():
         qc.parse_record_line(2, good.replace("bounded", "mystery"))
     with pytest.raises(qc.FileFormatError):
         qc.parse_record_line(2, good.replace('"system_index":0', '"system_index":true'))
+
+
+CAPPED = qc.SearchBudget(depth_cap=12, period_cap=2, node_cap=6)
+
+
+def _compact_json(rec):
+    """record_line's oracle: the record object through json.dumps."""
+    v = rec.verdict
+    if isinstance(v, qc.Bounded):
+        detail = {"max_len": v.max_len}
+    elif isinstance(v, qc.HasColoring):
+        detail = qc.witness_to_json(v.witness)
+    else:
+        detail = {"depth_reached": v.depth_reached, "period_cap_reached": v.period_cap_reached}
+    obj = {
+        "system_index": rec.system_index,
+        "canonical_id": rec.canonical_id,
+        "verdict": qc.verdict_kind(v),
+        "detail": detail,
+    }
+    return json.dumps(obj, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("budget", [CAPS, CAPPED], ids=["32/4", "12/2 node_cap=6"])
+def test_record_line_is_compact_json(budget):
+    kinds = set()
+    shapes = set()
+    for rec in census_records(2, budget):
+        assert qc.record_line(rec) == _compact_json(rec)
+        kinds.add(qc.verdict_kind(rec.verdict))
+        if isinstance(rec.verdict, qc.HasColoring):
+            shapes.add((rec.verdict.witness.p, rec.verdict.witness.q))
+    assert kinds == {"bounded", "has_coloring", "unknown"}
+    assert {(1, 1), (2, 1), (1, 2)} <= shapes
+    if budget == CAPS:
+        assert (2, 2) in shapes
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "budget, digest",
+    [
+        (CAPS, "68453874ed4111c8927ae206dd609c7c2ff5814fdfac3aa7ed8409505a76929d"),
+        (CAPPED, "0eb9faf1c515abbf70693066e780f6b2645139d89f4b19b17342a2029e2b7081"),
+    ],
+    ids=["32/4", "12/2 node_cap=6"],
+)
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_two_color_census_bytes_are_pinned(tmp_path, budget, digest, jobs):
+    out = tmp_path / "n2.jsonl"
+    qc.run_census(2, budget, jobs=jobs, out_path=str(out))
+    assert _sha256(out) == digest
+
+
+def test_three_color_census_prefix_bytes_are_pinned(tmp_path):
+    # two chunks of 4,096 systems and five more, at the default budget
+    out = tmp_path / "n3.jsonl"
+    assert qc.run_census(3, qc.SearchBudget(), out_path=str(out), stop_after=8197) is None
+    assert _sha256(out) == "127854f9d1642f7089443d8ff0e9c7b72d29c0c3c75acc0ad68edfdc4403f757"
 
 
 def test_dedupe_matches_direct_classification():

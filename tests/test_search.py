@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadcolor as qc
+from quadcolor import search
 from conftest import (
     brute_levels,
     brute_max_length,
@@ -228,8 +229,9 @@ def _witness_first(s, budget):
         qc.SearchBudget(depth_cap=6, period_cap=2),
         qc.SearchBudget(depth_cap=12, period_cap=3),
         qc.SearchBudget(depth_cap=12, period_cap=2, node_cap=6),
+        qc.SearchBudget(depth_cap=12, period_cap=2, node_cap=1),
     ],
-    ids=["6/2", "12/3", "12/2 node_cap=6"],
+    ids=["6/2", "12/3", "12/2 node_cap=6", "12/2 node_cap=1"],
 )
 def test_exhausting_first_matches_witness_first(budget):
     # classify exhausts the tree before it looks for a witness; a witness
@@ -243,6 +245,30 @@ def test_exhausting_first_matches_witness_first(budget):
         assert verdict == _witness_first(s, budget)
         kinds.add(qc.verdict_kind(verdict))
     assert kinds == {"bounded", "has_coloring", "unknown"}
+
+
+@pytest.mark.parametrize("node_cap", [1, 6, None])
+def test_constant_coloring_is_settled_without_search(monkeypatch, node_cap):
+    # an origin color with an H and a V self-loop colors the quadrant
+    # constantly; classify returns the witness search's own first answer,
+    # the 1x1 torus, without exhausting the sequence tree
+    budget = qc.SearchBudget(depth_cap=12, period_cap=3, node_cap=node_cap)
+    rng = random.Random(43)
+    systems = []
+    for _ in range(60):
+        s = random_system(rng, rng.randrange(1, 4))
+        loop = 1 << (s.origin * s.n + s.origin)
+        systems.append(qc.ColoringSystem(s.n, s.origin, s.h_mask | loop, s.v_mask | loop))
+    expected = [qc.HasColoring(qc.find_periodic_witness(s, budget)) for s in systems]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return qc.max_accept_length(*args, **kwargs)
+
+    monkeypatch.setattr(search, "max_accept_length", counting)
+    assert [qc.classify(s, budget) for s in systems] == expected
+    assert calls == []
 
 
 def test_classify_example_is_unknown_at_default_caps(example_system):
