@@ -5,7 +5,10 @@ as an integer, then the V mask, so system number ``i`` is always the same
 system and census output files are comparable byte for byte.  Classification
 of a system goes through its canonical form, so each isomorphism class is
 classified once per census process however the index range is cut into
-chunks, and every member of a class receives the same verdict.
+chunks, and every member of a class receives the same verdict.  The
+origin and H are constant over each run of 2^(n^2) consecutive indices, so
+the canonicalizing bijections are worked out once per run and each system
+then costs one renaming of its V mask.
 
 Output is JSON lines, one record per system, written and flushed one
 chunk at a time.  A cursor sidecar, written once when the file is created,
@@ -19,6 +22,7 @@ import json
 import multiprocessing
 import os
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable, Iterator, Optional
 
 from .fileio import (
@@ -39,7 +43,8 @@ from .systems import (
     Unknown,
     Verdict,
     _class_id,
-    canonicalize,
+    _permute_mask,
+    canonicalize,  # not called here; perfbench/tracing.py wraps census.canonicalize
 )
 
 
@@ -144,55 +149,86 @@ def census_records(
     The verdict is computed for the canonical form and shared across the
     isomorphism class; witnesses are relabeled back through the
     canonicalizing bijection so they certify the actual system in the
-    record.
+    record.  Canonicalization runs once per run of equal (origin, H).
     """
-    return _records(n, budget, start, stop, {})
+    for index, cid, perm, verdict in _classified(n, budget, start, stop, {}):
+        if isinstance(verdict, HasColoring):
+            verdict = HasColoring(_relabel_witness(verdict.witness, _invert(perm)))
+        yield CensusRecord(
+            system_index=index, system=system_at(n, index), verdict=verdict, canonical_id=cid
+        )
 
 
-def _records(
-    n: int, budget: SearchBudget, start: int, stop: Optional[int], cache: dict
-) -> Iterator[CensusRecord]:
+def _classified(
+    n: int, budget: SearchBudget, start: int, stop: Optional[int], classes: dict
+) -> Iterator[tuple[int, str, tuple, Verdict]]:
+    """(index, canonical id, bijection, class verdict) for systems start..stop-1.
+
+    The id and bijection are those of canonicalize(system_at(n, index)); the
+    verdict is the canonical form's, looked up in or added to ``classes``.
+    Canonicalization minimizes (0, perm(H), perm(V)) over the bijections
+    with perm[origin] == 0 and keeps the first of equal keys.  Origin and H
+    are fixed over each run of 2^(n^2) indices, so the least perm(H) and the
+    bijections reaching it (the ties, in permutations order) are found once
+    per run; a system's key is then the least (perm(V), perm) over the ties.
+    """
     total = total_systems(n)
     if stop is None:
         stop = total
     if not 0 <= start <= stop <= total:
         raise InputError(f"record range [{start}, {stop}) outside [0, {total}]")
-    for index in range(start, stop):
-        sys = system_at(n, index)
-        canon, perm = canonicalize(sys)
-        cid = _class_id(canon)
-        key = (canon.origin, canon.h_mask, canon.v_mask)
-        verdict = cache.get(key)
-        if verdict is None:
-            verdict = classify(canon, budget)
-            cache[key] = verdict
-        if isinstance(verdict, HasColoring):
-            verdict = HasColoring(_relabel_witness(verdict.witness, _invert(perm)))
-        yield CensusRecord(system_index=index, system=sys, verdict=verdict, canonical_id=cid)
+    bits = n * n
+    run = 1 << bits
+    perms = list(permutations(range(n)))
+    for base in range(start - start % run, stop, run):
+        origin, h_mask = divmod(base >> bits, run)
+        renamed = [(_permute_mask(h_mask, p, n), p) for p in perms if p[origin] == 0]
+        canon_h = min(renamed)[0]
+        ties = [p for mask, p in renamed if mask == canon_h]
+        for v_mask in range(max(start - base, 0), min(stop - base, run)):
+            canon_v, perm = min((_permute_mask(v_mask, p, n), p) for p in ties)
+            key = canon_h << bits | canon_v
+            verdict = classes.get(key)
+            if verdict is None:
+                verdict = classes[key] = classify(ColoringSystem(n, 0, canon_h, canon_v), budget)
+            yield base + v_mask, _class_id(n, 0, canon_h, canon_v), perm, verdict
 
 
 # -- record lines ---------------------------------------------------------------
 
 
 def record_line(rec: CensusRecord) -> str:
+    return _line(rec.system_index, rec.canonical_id, rec.verdict)
+
+
+def _line(index: int, cid: str, verdict: Verdict, perm: Optional[tuple] = None) -> str:
+    """The record line of system ``index``.  With ``perm``, the verdict is its
+    class's and perm took the system to the class's canonical form, so a
+    witness's cells are written mapped back through perm's inverse."""
     # Formatted by hand, several times faster than json.dumps.  It must stay
     # byte-equal to the compact form json.dumps(obj, separators=(",", ":")):
     # test_census.py pins census file hashes and checks every n=2 record
     # against json.dumps.  Canonical ids (digits, dots, hex) need no escaping.
-    v = rec.verdict
-    if isinstance(v, Bounded):
+    if isinstance(verdict, Bounded):
         kind = "bounded"
-        detail = f'{{"max_len":{v.max_len}}}'
-    elif isinstance(v, HasColoring):
+        detail = f'{{"max_len":{verdict.max_len}}}'
+    elif isinstance(verdict, HasColoring):
         kind = "has_coloring"
-        w = v.witness
-        cells = "],[".join(",".join(map(str, row)) for row in w.rows)
+        w = verdict.witness
+        rows = w.rows
+        if perm is not None:
+            back = _invert(perm)
+            rows = [[back[c] for c in row] for row in rows]
+        cells = "],[".join(",".join(map(str, row)) for row in rows)
         detail = f'{{"p":{w.p},"q":{w.q},"cells":[[{cells}]]}}'
     else:
         kind = "unknown"
-        detail = f'{{"depth_reached":{v.depth_reached},"period_cap_reached":{v.period_cap_reached}}}'
+        detail = (
+            f'{{"depth_reached":{verdict.depth_reached},'
+            f'"period_cap_reached":{verdict.period_cap_reached}}}'
+        )
     return (
-        f'{{"system_index":{rec.system_index},"canonical_id":"{rec.canonical_id}",'
+        f'{{"system_index":{index},"canonical_id":"{cid}",'
         f'"verdict":"{kind}","detail":{detail}}}'
     )
 
@@ -306,16 +342,20 @@ _CHUNK_CAP = 4096
 
 
 def _chunk(task: tuple) -> tuple[list, _Totals]:
-    """Record lines for systems start..stop-1, and the totals over them."""
+    """Record lines for systems start..stop-1, and the totals over them.
+
+    Canonicalization runs once per run of equal (origin, H), and each line
+    is formatted from the index, the class id and the class verdict, with
+    no per-system record objects."""
     n, budget, start, stop = task
     if (n, budget) not in _classes:
         _classes.clear()
         _classes[n, budget] = {}
     totals = _Totals(n)
     lines = []
-    for rec in _records(n, budget, start, stop, _classes[n, budget]):
-        totals.add(rec.system_index, rec.verdict)
-        lines.append(record_line(rec))
+    for index, cid, perm, verdict in _classified(n, budget, start, stop, _classes[n, budget]):
+        totals.add(index, verdict)
+        lines.append(_line(index, cid, verdict, perm))
     return lines, totals
 
 

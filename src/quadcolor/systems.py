@@ -182,12 +182,13 @@ def canonical_form(sys: ColoringSystem) -> ColoringSystem:
 
 def canonical_id(sys: ColoringSystem) -> str:
     """Compact stable encoding of the canonical form, used as a class key."""
-    return _class_id(canonical_form(sys))
+    canon = canonical_form(sys)
+    return _class_id(canon.n, canon.origin, canon.h_mask, canon.v_mask)
 
 
-def _class_id(canon: ColoringSystem) -> str:
-    """canonical_id of a system that is already in canonical form."""
-    return f"{canon.n}.{canon.origin}.{canon.h_mask:x}.{canon.v_mask:x}"
+def _class_id(n: int, origin: int, h_mask: int, v_mask: int) -> str:
+    """canonical_id of the system with these fields, already in canonical form."""
+    return f"{n}.{origin}.{h_mask:x}.{v_mask:x}"
 
 
 def is_isomorphic(s1: ColoringSystem, s2: ColoringSystem) -> bool:

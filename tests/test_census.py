@@ -3,8 +3,10 @@ record serialization, dedupe correctness, resumable streaming, and the
 frozen small-n summaries."""
 
 import hashlib
+import itertools
 import json
 import os
+import random
 
 import pytest
 
@@ -295,6 +297,96 @@ def test_capped_chunks_match_direct_records(tmp_path, monkeypatch):
     monkeypatch.setattr(census, "_chunk", record_span)
     qc.run_census(3, budget, stop_after=stop)
     assert spans == [(0, cap), (cap, 2 * cap), (2 * cap, stop)]
+
+
+def _tie_counts(sys):
+    """How many origin-fixing bijections reach the least renamed H, and how
+    many reach the canonical form itself."""
+    renamed = [
+        qc.apply_bijection(sys, perm)
+        for perm in itertools.permutations(range(sys.n))
+        if perm[sys.origin] == 0
+    ]
+    least = min((r.h_mask, r.v_mask) for r in renamed)
+    h_ties = sum(r.h_mask == least[0] for r in renamed)
+    return h_ties, sum((r.h_mask, r.v_mask) == least for r in renamed)
+
+
+def test_run_canonicalization_matches_canonicalize(monkeypatch):
+    # the census canonicalizes once per run of equal (origin, H); every
+    # system must still get canonicalize's id and its first bijection
+    monkeypatch.setattr(census, "classify", lambda sys, budget: qc.Unknown(0, 0))
+    rng = random.Random(7)
+    ranges = [(2, index, index + 1) for index in range(qc.total_systems(2))]
+    ranges.append((2, 0, qc.total_systems(2)))
+    for n in (3, 4):
+        run = 1 << n * n
+        diagonal = sum(1 << (c * n + c) for c in range(n))
+        for origin in range(n):
+            for h_mask in (0, run - 1, diagonal, rng.randrange(run), rng.randrange(run)):
+                base = (origin * run + h_mask) * run
+                inside = base + rng.randrange(1, run - 20)
+                ranges.append((n, base, base + 20))
+                ranges.append((n, inside, inside + 20))
+                ranges.append((n, max(base - 3, 0), base + 3))  # across two runs
+    h_tied = v_broken = first_wins = 0
+    for n, start, stop in ranges:
+        got = list(census._classified(n, CAPS, start, stop, {}))
+        assert [index for index, *_ in got] == list(range(start, stop))
+        for index, cid, perm, _ in got:
+            sys = qc.system_at(n, index)
+            canon, first = qc.canonicalize(sys)
+            assert (cid, perm) == (qc.canonical_id(canon), first), index
+            h_ties, ties = _tie_counts(sys)
+            h_tied += h_ties > 1
+            v_broken += h_ties > 1 and ties == 1
+            first_wins += ties > 1
+    # V must pick among tied bijections, and equal keys keep the first one
+    assert h_tied > 100 and v_broken > 100 and first_wins > 100
+
+
+def _direct_lines(n, budget, start, stop):
+    """Record lines built one system at a time: canonicalize, classify each
+    class once, relabel a witness through the inverse bijection, json.dumps.
+    Also counts the witnesses that relabeling through the bijection itself
+    would get wrong."""
+    classes = {}
+    lines = []
+    inverse_needed = 0
+    for index in range(start, stop):
+        sys = qc.system_at(n, index)
+        canon, perm = qc.canonicalize(sys)
+        if canon not in classes:
+            classes[canon] = qc.classify(canon, budget)
+        verdict = classes[canon]
+        if isinstance(verdict, qc.HasColoring):
+            back = {pc: c for c, pc in enumerate(perm)}
+            w = verdict.witness
+            rows = tuple(tuple(back[c] for c in row) for row in w.rows)
+            inverse_needed += rows != tuple(tuple(perm[c] for c in row) for row in w.rows)
+            verdict = qc.HasColoring(qc.PeriodicWitness(p=w.p, q=w.q, rows=rows))
+            assert verdict.witness.problems(sys) == []
+        rec = census.CensusRecord(index, sys, verdict, qc.canonical_id(canon))
+        lines.append(_compact_json(rec) + "\n")
+    return lines, inverse_needed
+
+
+def test_census_lines_match_direct_reference(tmp_path, monkeypatch):
+    # every n=4 chunk starts inside a 65,536-long run of one (origin, H), and
+    # origin 0 with an empty H ties all six bijections that fix color 0
+    budget = qc.SearchBudget(depth_cap=12, period_cap=2)
+    stop = 2 * census._CHUNK_CAP + 5
+    out = tmp_path / "n4.jsonl"
+    assert qc.run_census(4, budget, jobs=2, out_path=str(out), stop_after=stop) is None
+    assert _tie_counts(qc.system_at(4, 0)) == (6, 6)
+    assert out.read_text() == "".join(_direct_lines(4, budget, 0, stop)[0])
+    # origin 2 at n=3 has a canonicalizing bijection that is not its own inverse
+    monkeypatch.setattr(census, "_classes", {})
+    start = (2 * 512 + 0x0A5) * 512 - 300
+    lines, _ = census._chunk((3, budget, start, start + 600))
+    expected, inverse_needed = _direct_lines(3, budget, start, start + 600)
+    assert [line + "\n" for line in lines] == expected
+    assert inverse_needed > 0
 
 
 def test_stop_after_pauses_and_resume_completes(tmp_path):
