@@ -21,8 +21,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass
-from itertools import permutations
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Optional
 
 from .fileio import (
@@ -43,6 +42,7 @@ from .systems import (
     Unknown,
     Verdict,
     _class_id,
+    _least_h,
     _permute_mask,
     canonicalize,  # not called here; perfbench/tracing.py wraps census.canonicalize
 )
@@ -102,16 +102,7 @@ class CensusSummary:
 
 
 def summary_to_json(s: CensusSummary) -> dict:
-    return {
-        "n": s.n,
-        "total_systems": s.total_systems,
-        "bounded": s.bounded,
-        "has_coloring": s.has_coloring,
-        "unknown": s.unknown,
-        "mu_exact": s.mu_exact,
-        "mu_lower_bound": s.mu_lower_bound,
-        "champion": s.champion,
-    }
+    return asdict(s)
 
 
 @dataclass(frozen=True)
@@ -166,11 +157,10 @@ def _classified(
 
     The id and bijection are those of canonicalize(system_at(n, index)); the
     verdict is the canonical form's, looked up in or added to ``classes``.
-    Canonicalization minimizes (0, perm(H), perm(V)) over the bijections
-    with perm[origin] == 0 and keeps the first of equal keys.  Origin and H
-    are fixed over each run of 2^(n^2) indices, so the least perm(H) and the
-    bijections reaching it (the ties, in permutations order) are found once
-    per run; a system's key is then the least (perm(V), perm) over the ties.
+    Origin and H are fixed over each run of 2^(n^2) indices, so
+    systems._least_h finds the least perm(H) and the bijections reaching it
+    once per run; a system's key is then the least (perm(V), perm) over
+    those ties, as in canonicalize.
     """
     total = total_systems(n)
     if stop is None:
@@ -179,12 +169,9 @@ def _classified(
         raise InputError(f"record range [{start}, {stop}) outside [0, {total}]")
     bits = n * n
     run = 1 << bits
-    perms = list(permutations(range(n)))
     for base in range(start - start % run, stop, run):
         origin, h_mask = divmod(base >> bits, run)
-        renamed = [(_permute_mask(h_mask, p, n), p) for p in perms if p[origin] == 0]
-        canon_h = min(renamed)[0]
-        ties = [p for mask, p in renamed if mask == canon_h]
+        canon_h, ties = _least_h(n, origin, h_mask)
         for v_mask in range(max(start - base, 0), min(stop - base, run)):
             canon_v, perm = min((_permute_mask(v_mask, p, n), p) for p in ties)
             key = canon_h << bits | canon_v
@@ -367,12 +354,7 @@ def _cursor_path(out_path: str) -> str:
 
 
 def _cursor_payload(n: int, budget: SearchBudget) -> dict:
-    return {
-        "n": n,
-        "depth_cap": budget.depth_cap,
-        "period_cap": budget.period_cap,
-        "node_cap": budget.node_cap,
-    }
+    return {"n": n, **asdict(budget)}
 
 
 def _write_atomic(path: str, text: str) -> None:

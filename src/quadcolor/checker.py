@@ -8,7 +8,8 @@ the domain are unconstrained -- the boundary of a growing triangle always
 has such neighbors, and prefix closure depends on leaving them free.
 
 Rejections are reported deterministically: the first failure in diagonal
-index order, horizontal before vertical at equal index.
+index order, horizontal before vertical at equal index.  A periodic witness
+is checked the same way, through the triangle its torus unrolls onto.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .diagonal import tile_at
-from .systems import ColoringSystem, InputError, TriangleColoring, domain_problems, require_valid
+from .systems import (
+    ColoringSystem,
+    InputError,
+    PeriodicWitness,
+    TriangleColoring,
+    domain_problems,
+    require_valid,
+)
 
 
 @dataclass(frozen=True)
@@ -93,6 +101,20 @@ def check_triangle(sys: ColoringSystem, tri: TriangleColoring) -> Optional[Viola
     if not seq or len(seq) != tri.depth + 1 or _MISSING in seq:
         raise InputError("; ".join(domain_problems(tri)))
     return check_sequence(sys, seq)
+
+
+def check_witness(sys: ColoringSystem, w: PeriodicWitness) -> Optional[Violation]:
+    """None when the torus w colors the whole quadrant, else the first
+    violation of its unrolling in diagonal order.
+
+    The tiles with x + y <= p + q - 1 hold every horizontal and vertical
+    pair of the torus, wrap pairs included, and every adjacent pair of the
+    unrolled quadrant is a torus pair, so checking that triangle decides
+    the quadrant.  Raises InputError when the cells are not a p-by-q grid
+    or hold a color out of range."""
+    if w.p < 1 or w.q < 1 or len(w.rows) != w.q or any(len(row) != w.p for row in w.rows):
+        raise InputError(f"witness cells are not a {w.p}x{w.q} grid")
+    return check_triangle(sys, w.expand(w.p + w.q - 1))
 
 
 def is_prefix(p: Sequence[int], s: Sequence[int]) -> bool:

@@ -14,7 +14,7 @@ import sys
 
 from . import fileio
 from .census import run_census, summary_to_json
-from .checker import check_sequence, check_triangle
+from .checker import check_sequence, check_triangle, check_witness
 from .render import FORMATS, Palette, render_triangle
 from .search import Indeterminate, SearchBudget, Unreachable, build_chain, classify
 from .systems import (
@@ -57,20 +57,13 @@ def _verdict_text(verdict) -> str:
             f"period cap {verdict.period_cap_reached}")
 
 
+_CHECKS = {"sequence": check_sequence, "triangle": check_triangle, "witness": check_witness}
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     system = fileio.load_system(args.system)
     kind, coloring = fileio.load_coloring(args.coloring)
-    if kind == "witness":
-        problems = coloring.problems(system)
-        if problems:
-            print("rejected: " + "; ".join(problems))
-            return EXIT_NO
-        print("accepted")
-        return EXIT_YES
-    if kind == "sequence":
-        violation = check_sequence(system, coloring)
-    else:
-        violation = check_triangle(system, coloring)
+    violation = _CHECKS[kind](system, coloring)
     if violation is None:
         print("accepted")
         return EXIT_YES

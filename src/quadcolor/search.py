@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .checker import check_sequence
+from .diagonal import tile_at
 from .systems import (
     Bounded,
     ColoringSystem,
@@ -100,8 +101,9 @@ class LengthProfile:
 
 
 # _GEOMETRY[0][k], _GEOMETRY[1][k]: column and anti-diagonal of tile index k,
-# shared by every search.  It grows by rebinding a longer copy, never in
-# place, so a search in another thread never sees a half-grown table.
+# shared by every search and read off diagonal.tile_at.  It grows by
+# rebinding a longer table, never in place, so a search in another thread
+# never sees a half-grown one.
 _GEOMETRY: tuple[list, list] = ([0], [0])
 
 
@@ -110,16 +112,8 @@ def _geometry(upto: int) -> tuple[list, list]:
     global _GEOMETRY
     xs, ss = _GEOMETRY
     if len(xs) < upto:
-        size = max(upto, 2 * len(xs))
-        xs, ss = xs[:], ss[:]
-        while len(xs) < size:
-            x, s = xs[-1], ss[-1]
-            if x == s:
-                xs.append(0)
-                ss.append(s + 1)
-            else:
-                xs.append(x + 1)
-                ss.append(s)
+        tiles = [tile_at(k) for k in range(max(upto, 2 * len(xs)))]
+        xs, ss = [x for x, _ in tiles], [x + y for x, y in tiles]
         _GEOMETRY = (xs, ss)
     return xs, ss
 

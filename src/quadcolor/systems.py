@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Union
 
-from .diagonal import tile_at, tile_index, triangular
+from .diagonal import tile_at, triangular
 
 MAX_COLORS = 64       # relation masks stay desk-sized
 MAX_CANON_COLORS = 8  # canonicalization sweeps all n! bijections
@@ -128,7 +128,11 @@ def require_valid(sys: ColoringSystem) -> None:
 # Two systems are isomorphic when some color bijection maps origin to origin
 # and both relations onto each other.  The canonical form of a system is the
 # member of its isomorphism class with the smallest (origin, h_mask, v_mask)
-# tuple; systems are isomorphic iff their canonical forms are equal.
+# tuple; systems are isomorphic iff their canonical forms are equal.  That
+# member is the least (0, perm(H), perm(V)) over the bijections with
+# perm[origin] == 0, the first of equal keys in permutations order winning.
+# _least_h holds the H half of that rule; canonicalize and the census (one
+# call per run of equal origin and H) finish it with the least perm(V).
 # ---------------------------------------------------------------------------
 
 
@@ -153,27 +157,23 @@ def _permute_mask(mask: int, perm: tuple[int, ...], n: int) -> int:
     return out
 
 
+def _least_h(n: int, origin: int, h_mask: int) -> tuple[int, list]:
+    """The least renamed H over the bijections with perm[origin] == 0, and
+    the bijections that reach it, in permutations order."""
+    renamed = [(_permute_mask(h_mask, p, n), p) for p in permutations(range(n)) if p[origin] == 0]
+    canon_h = min(renamed)[0]
+    return canon_h, [p for mask, p in renamed if mask == canon_h]
+
+
 def canonicalize(sys: ColoringSystem) -> tuple[ColoringSystem, tuple[int, ...]]:
     """Canonical form plus the first bijection (in lexicographic order)
     that produces it.  Deterministic, so parallel callers agree."""
     require_valid(sys)
     if sys.n > MAX_CANON_COLORS:
         raise InputError(f"canonicalization sweeps n! bijections; capped at n <= {MAX_CANON_COLORS}")
-    best: Optional[tuple[int, int, int]] = None
-    best_perm: tuple[int, ...] = ()
-    for perm in permutations(range(sys.n)):
-        if perm[sys.origin] != 0:
-            continue  # the minimum key has origin 0, always achievable
-        key = (
-            0,
-            _permute_mask(sys.h_mask, perm, sys.n),
-            _permute_mask(sys.v_mask, perm, sys.n),
-        )
-        if best is None or key < best:
-            best = key
-            best_perm = perm
-    assert best is not None
-    return ColoringSystem(sys.n, *best), best_perm
+    canon_h, ties = _least_h(sys.n, sys.origin, sys.h_mask)
+    canon_v, perm = min((_permute_mask(sys.v_mask, p, sys.n), p) for p in ties)
+    return ColoringSystem(sys.n, 0, canon_h, canon_v), perm
 
 
 def canonical_form(sys: ColoringSystem) -> ColoringSystem:
@@ -289,7 +289,8 @@ def full_triangle_depth(diagonals: int) -> int:
 @dataclass(frozen=True)
 class PeriodicWitness:
     """A p-by-q torus coloring whose periodic unrolling colors the whole
-    quadrant acceptably; a finite certificate that a coloring exists."""
+    quadrant acceptably; a finite certificate that a coloring exists,
+    accepted by checker.check_witness."""
 
     p: int
     q: int
@@ -297,28 +298,6 @@ class PeriodicWitness:
 
     def color_at(self, x: int, y: int) -> int:
         return self.rows[y % self.q][x % self.p]
-
-    def problems(self, sys: ColoringSystem) -> list[str]:
-        out = []
-        if self.p < 1 or self.q < 1:
-            return [f"periods must be >= 1, got p={self.p}, q={self.q}"]
-        if len(self.rows) != self.q or any(len(row) != self.p for row in self.rows):
-            return [f"cell grid is not {self.p}x{self.q}"]
-        if any(not 0 <= c < sys.n for row in self.rows for c in row):
-            out.append(f"cell color out of range [0, {sys.n})")
-            return out
-        if self.rows[0][0] != sys.origin:
-            out.append(f"cell (0,0) is {self.rows[0][0]}, origin color is {sys.origin}")
-        for y in range(self.q):
-            for x in range(self.p):
-                c = self.rows[y][x]
-                right = self.rows[y][(x + 1) % self.p]
-                if not sys.h_allows(c, right):
-                    out.append(f"horizontal wrap pair ({c}, {right}) at cell ({x}, {y}) not in H")
-                above = self.rows[(y + 1) % self.q][x]
-                if not sys.v_allows(c, above):
-                    out.append(f"vertical wrap pair ({c}, {above}) at cell ({x}, {y}) not in V")
-        return out
 
     def expand(self, diagonals: int) -> TriangleColoring:
         """Unroll onto the full triangle of tiles with x + y <= diagonals."""

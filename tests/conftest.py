@@ -5,7 +5,7 @@ checker: acceptance is re-derived from the pair relations over the tile
 grid, so a bug in the product code cannot hide behind itself.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import strategies as st
@@ -109,6 +109,18 @@ def brute_torus_colorings(sys, p, q):
         if ok:
             out.append(rows)
     return out
+
+
+def brute_canonicalize(sys):
+    """canonicalize from its definition: the least renamed system over the
+    bijections that take the origin to 0, the first in permutations order
+    winning a tie, and that bijection."""
+    renamings = [
+        (qc.apply_bijection(sys, perm), perm)
+        for perm in permutations(range(sys.n))
+        if perm[sys.origin] == 0
+    ]
+    return min(renamings, key=lambda pair: (pair[0].h_mask, pair[0].v_mask))
 
 
 def random_system(rng, n) -> qc.ColoringSystem:

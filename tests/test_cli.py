@@ -61,6 +61,20 @@ def test_check_witness(paths, tmp_path, capsys):
     assert "rejected" in capsys.readouterr().out
 
 
+def test_check_witness_color_out_of_range_is_exit_2(tmp_path, capsys):
+    # a color outside [0, n) is malformed input for witnesses as for
+    # sequences; a torn witness is a rejection
+    sys_path = write_system(tmp_path, "stripes.json", 2, 0, [(0, 1), (1, 0)], [(0, 0), (1, 1)])
+    wit_path = tmp_path / "wit.json"
+    wit_path.write_text('{"p": 2, "q": 1, "cells": [[0, 5]]}')
+    assert main(["check", sys_path, str(wit_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    wit_path.write_text('{"p": 2, "q": 1, "cells": [[0, 0]]}')
+    assert main(["check", sys_path, str(wit_path)]) == 1
+    assert capsys.readouterr().out.startswith("rejected: ")
+
+
 def test_check_garbage_is_exit_2(paths, tmp_path, capsys):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{nope")

@@ -188,7 +188,7 @@ def test_classify_is_sound(s):
         assert verdict.max_len == brute_max_length(s, budget.depth_cap + 1)
         assert verdict.max_len < budget.depth_cap
     elif isinstance(verdict, qc.HasColoring):
-        assert verdict.witness.problems(s) == []
+        assert qc.check_witness(s, verdict.witness) is None
     else:
         # no certificate: the tree really does reach the cap and no small torus exists
         assert brute_max_length(s, budget.depth_cap) == budget.depth_cap
@@ -205,7 +205,7 @@ def test_classify_with_starved_node_budget_still_sound():
         if isinstance(verdict, qc.Bounded):
             assert verdict.max_len == brute_max_length(s, 13)
         elif isinstance(verdict, qc.HasColoring):
-            assert verdict.witness.problems(s) == []
+            assert qc.check_witness(s, verdict.witness) is None
 
 
 def _witness_first(s, budget):

@@ -1,11 +1,14 @@
 """System values, bijections, canonical forms, triangles, witnesses."""
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadcolor as qc
-from conftest import brute_torus_colorings, system_strategy
+from conftest import brute_canonicalize, brute_torus_colorings, random_system, system_strategy
 
 
 def test_from_pairs_builds_masks():
@@ -80,6 +83,7 @@ def test_canonical_form_invariant_under_renaming(s, rng):
 @settings(max_examples=150)
 def test_canonicalize_returns_achieving_bijection(s):
     canon, perm = qc.canonicalize(s)
+    assert (canon, perm) == brute_canonicalize(s)
     assert qc.apply_bijection(s, perm) == canon
     assert qc.canonical_form(canon) == canon
 
@@ -150,7 +154,7 @@ def test_full_triangle_depth():
 def test_witness_problems_and_expansion():
     s = qc.ColoringSystem.from_pairs(2, 0, [(0, 1), (1, 0)], [(0, 0), (1, 1)])
     w = qc.PeriodicWitness(p=2, q=1, rows=((0, 1),))
-    assert w.problems(s) == []
+    assert qc.check_witness(s, w) is None
     tri = w.expand(5)
     assert tri.depth == qc.full_triangle_depth(5)
     assert qc.check_triangle(s, tri) is None
@@ -159,9 +163,35 @@ def test_witness_problems_and_expansion():
             assert w.color_at(x, y) == x % 2
 
     flipped = qc.PeriodicWitness(p=2, q=1, rows=((1, 0),))
-    assert any("origin" in problem for problem in flipped.problems(s))
+    assert qc.check_witness(s, flipped).kind == "origin"
     torn = qc.PeriodicWitness(p=2, q=1, rows=((0, 0),))
-    assert any("not in H" in problem for problem in torn.problems(s))
+    assert "not in H" in qc.check_witness(s, torn).message()
+
+    # malformed witnesses are input errors, not rejections
+    for bad in (
+        qc.PeriodicWitness(p=0, q=1, rows=()),
+        qc.PeriodicWitness(p=2, q=1, rows=((0,),)),
+        qc.PeriodicWitness(p=1, q=2, rows=((0,),)),
+        qc.PeriodicWitness(p=2, q=1, rows=((0, 5),)),
+    ):
+        with pytest.raises(qc.InputError):
+            qc.check_witness(s, bad)
+
+
+def test_check_witness_agrees_with_brute_torus():
+    # every origin-pinned grid: the unrolling up to diagonal p + q - 1 holds
+    # the top-right cell's wrap pairs, which one diagonal fewer would miss
+    rng = random.Random(5)
+    shapes = [(p, q) for p in (1, 2, 3) for q in (1, 2, 3) if p * q <= 6]
+    for _ in range(100):
+        s = random_system(rng, rng.randint(1, 3))
+        for p, q in shapes:
+            tori = set(brute_torus_colorings(s, p, q))
+            for rest in product(range(s.n), repeat=p * q - 1):
+                cells = (s.origin,) + rest
+                rows = tuple(cells[y * p : (y + 1) * p] for y in range(q))
+                w = qc.PeriodicWitness(p=p, q=q, rows=rows)
+                assert (qc.check_witness(s, w) is None) == (rows in tori), (s, w)
 
 
 @given(system_strategy(max_colors=3))
@@ -177,5 +207,5 @@ def test_witness_search_agrees_with_brute_torus(s):
     if found is None:
         assert all_tori == []
     else:
-        assert found.problems(s) == []
+        assert qc.check_witness(s, found) is None
         assert (found.p, found.q, found.rows) in all_tori
