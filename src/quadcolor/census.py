@@ -28,8 +28,8 @@ from .fileio import (
     FileFormatError,
     _as_int,
     _require_keys,
+    _verdict_from_fields,
     dump_pretty,
-    parse_witness,
 )
 from .search import SearchBudget, classify
 from .systems import (
@@ -39,7 +39,6 @@ from .systems import (
     HasColoring,
     InputError,
     PeriodicWitness,
-    Unknown,
     Verdict,
     _class_id,
     _least_h,
@@ -231,25 +230,7 @@ def parse_record_line(n: int, line: str) -> CensusRecord:
     cid = obj["canonical_id"]
     if not isinstance(cid, str):
         raise FileFormatError(f"{what}.canonical_id must be a string")
-    kind = obj["verdict"]
-    detail = obj["detail"]
-    if not isinstance(detail, dict):
-        raise FileFormatError(f"{what}.detail must be an object")
-    if kind == "bounded":
-        _require_keys(detail, ("max_len",), f"{what}.detail")
-        verdict: Verdict = Bounded(max_len=_as_int(detail["max_len"], f"{what}.detail.max_len"))
-    elif kind == "has_coloring":
-        verdict = HasColoring(witness=parse_witness(detail, f"{what}.detail"))
-    elif kind == "unknown":
-        _require_keys(detail, ("depth_reached", "period_cap_reached"), f"{what}.detail")
-        verdict = Unknown(
-            depth_reached=_as_int(detail["depth_reached"], f"{what}.detail.depth_reached"),
-            period_cap_reached=_as_int(
-                detail["period_cap_reached"], f"{what}.detail.period_cap_reached"
-            ),
-        )
-    else:
-        raise FileFormatError(f"{what}: unknown verdict kind {kind!r}")
+    verdict = _verdict_from_fields(obj["verdict"], obj["detail"], f"{what}.detail")
     return CensusRecord(
         system_index=index, system=system_at(n, index), verdict=verdict, canonical_id=cid
     )

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .diagonal import tile_at
-from .systems import (
-    ColoringSystem,
-    InputError,
-    PeriodicWitness,
-    TriangleColoring,
-    domain_problems,
-    require_valid,
-)
+from .systems import ColoringSystem, InputError, PeriodicWitness, TriangleColoring
 
 
 @dataclass(frozen=True)
@@ -67,7 +60,6 @@ def check_sequence(sys: ColoringSystem, seq: Sequence[int]) -> Optional[Violatio
     Raises InputError for malformed input (empty sequence, colors out of
     range) -- distinct from a mathematical rejection.
     """
-    require_valid(sys)
     if len(seq) == 0:
         raise InputError("the empty sequence is not a candidate coloring")
     _check_elements(sys, seq, "sequence")
@@ -88,19 +80,11 @@ def check_sequence(sys: ColoringSystem, seq: Sequence[int]) -> Optional[Violatio
     return None
 
 
-_MISSING = object()  # stands in for a tile absent from a triangle's domain
-
-
 def check_triangle(sys: ColoringSystem, tri: TriangleColoring) -> Optional[Violation]:
-    """check_sequence on the diagonal-order serialization of the grid form,
-    read off in one pass; a domain that is not the depth-prefix staircase
-    raises InputError with domain_problems' message."""
-    require_valid(sys)
-    cells = tri.cells
-    seq = [cells.get(tile_at(k), _MISSING) for k in range(len(cells))]
-    if not seq or len(seq) != tri.depth + 1 or _MISSING in seq:
-        raise InputError("; ".join(domain_problems(tri)))
-    return check_sequence(sys, seq)
+    """check_sequence on the triangle's diagonal-order sequence, which is
+    what a TriangleColoring stores; its domain is a staircase by
+    construction."""
+    return check_sequence(sys, tri.seq)
 
 
 def check_witness(sys: ColoringSystem, w: PeriodicWitness) -> Optional[Violation]:

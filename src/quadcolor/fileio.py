@@ -212,17 +212,30 @@ def parse_verdict(obj, what: str = "verdict") -> Verdict:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FileFormatError(f"{what} must be an object with a 'kind' key")
     kind = obj["kind"]
-    if kind == "bounded":
-        _require_keys(obj, ("kind", "max_len"), what)
-        return Bounded(max_len=_as_int(obj["max_len"], f"{what}.max_len"))
+    fields = {key: value for key, value in obj.items() if key != "kind"}
     if kind == "has_coloring":
-        _require_keys(obj, ("kind", "witness"), what)
-        return HasColoring(witness=parse_witness(obj["witness"], f"{what}.witness"))
+        _require_keys(fields, ("witness",), what)
+        fields, what = fields["witness"], f"{what}.witness"
+    return _verdict_from_fields(kind, fields, what)
+
+
+def _verdict_from_fields(kind, fields, what: str) -> Verdict:
+    """The verdict of ``kind`` with these fields: max_len for bounded, the
+    witness's own p, q and cells for has_coloring, depth_reached and
+    period_cap_reached for unknown.  A census record's detail object has
+    this shape."""
+    if kind == "bounded":
+        _require_keys(fields, ("max_len",), what)
+        return Bounded(max_len=_as_int(fields["max_len"], f"{what}.max_len"))
+    if kind == "has_coloring":
+        return HasColoring(witness=parse_witness(fields, what))
     if kind == "unknown":
-        _require_keys(obj, ("kind", "depth_reached", "period_cap_reached"), what)
+        _require_keys(fields, ("depth_reached", "period_cap_reached"), what)
         return Unknown(
-            depth_reached=_as_int(obj["depth_reached"], f"{what}.depth_reached"),
-            period_cap_reached=_as_int(obj["period_cap_reached"], f"{what}.period_cap_reached"),
+            depth_reached=_as_int(fields["depth_reached"], f"{what}.depth_reached"),
+            period_cap_reached=_as_int(
+                fields["period_cap_reached"], f"{what}.period_cap_reached"
+            ),
         )
     raise FileFormatError(f"{what}: unknown verdict kind {kind!r}")
 

@@ -1,8 +1,8 @@
 """Pictures of triangle colorings: text, SVG, and PPM.
 
 The quadrant is drawn the usual way up, origin in the bottom-left corner,
-so row y of the staircase appears max_y - y lines from the top.  All three
-renderers iterate tiles in diagonal order and emit no timestamps or
+so row y of the staircase appears max_y - y lines from the top.  Each
+renderer reads the triangle's rows once, and none emits timestamps or
 float formatting, so equal colorings produce equal bytes.
 """
 
@@ -81,7 +81,7 @@ def render_triangle(
     if scale < 1:
         raise InputError(f"scale must be >= 1, got {scale}")
     if palette is None and fmt != "text":
-        palette = default_palette(max(tri.cells.values()) + 1)
+        palette = default_palette(max(tri.seq) + 1)
     if fmt == "text":
         return _render_text(tri)
     if fmt == "svg":
@@ -118,12 +118,13 @@ def _render_svg(tri: TriangleColoring, palette: Palette, scale: int) -> bytes:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
-    for (x, y), color in sorted(tri.cells.items(), key=lambda item: (item[0][1], item[0][0])):
-        r, g, b = palette.rgb(color)
-        parts.append(
-            f'<rect x="{x * side}" y="{(max_y - y) * side}" width="{side}" height="{side}" '
-            f'fill="#{r:02x}{g:02x}{b:02x}"><title>{palette.name(color)}</title></rect>'
-        )
+    for y, row in enumerate(tri.rows()):
+        for x, color in enumerate(row):
+            r, g, b = palette.rgb(color)
+            parts.append(
+                f'<rect x="{x * side}" y="{(max_y - y) * side}" width="{side}" height="{side}" '
+                f'fill="#{r:02x}{g:02x}{b:02x}"><title>{palette.name(color)}</title></rect>'
+            )
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("ascii")
 
@@ -131,15 +132,10 @@ def _render_svg(tri: TriangleColoring, palette: Palette, scale: int) -> bytes:
 def _render_ppm(tri: TriangleColoring, palette: Palette, scale: int) -> bytes:
     width = (tri.max_x() + 1) * scale
     height = (tri.max_y() + 1) * scale
-    max_y = tri.max_y()
+    background = "%d %d %d" % _BACKGROUND
     lines = ["P3", f"{width} {height}", "255"]
-    for py in range(height):
-        y = max_y - py // scale
-        row = []
-        for px in range(width):
-            x = px // scale
-            color = tri.cells.get((x, y))
-            rgb = _BACKGROUND if color is None else palette.rgb(color)
-            row.append("%d %d %d" % rgb)
-        lines.append("  ".join(row))
+    for row in reversed(tri.rows()):
+        pixels = ["%d %d %d" % palette.rgb(color) for color in row for _ in range(scale)]
+        pixels += [background] * (width - len(pixels))
+        lines += ["  ".join(pixels)] * scale
     return ("\n".join(lines) + "\n").encode("ascii")

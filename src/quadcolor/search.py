@@ -31,7 +31,6 @@ from .systems import (
     PeriodicWitness,
     Unknown,
     Verdict,
-    require_valid,
 )
 
 
@@ -338,7 +337,6 @@ def max_accept_length(
     sequence of length L+1 exists.  ReachedCap only certifies existence at
     the cap.  Indeterminate reports an exhausted node budget.
     """
-    require_valid(sys)
     search = _Search(sys, node_cap=budget.node_cap)
     best, reached_cap, complete = search.exhaust(budget.depth_cap)
     if reached_cap:
@@ -356,7 +354,6 @@ def enumerate_sequences(
 ) -> Enumeration:
     """All acceptable sequences of exactly ``length``, in lexicographic
     color order, truncated at ``limit`` when given."""
-    require_valid(sys)
     if length < 1:
         raise InputError(f"sequence length must be >= 1, got {length}")
     if limit is not None and limit < 0:
@@ -371,7 +368,6 @@ def length_profile(
     sys: ColoringSystem, budget: SearchBudget
 ) -> Union[LengthProfile, Indeterminate]:
     """Exact per-length counts up to the depth cap, from one traversal."""
-    require_valid(sys)
     search = _Search(sys, node_cap=budget.node_cap)
     counts, complete = search.profile(budget.depth_cap)
     if not complete:
@@ -393,7 +389,6 @@ def extendable_colors(
     equal to len(prefix) asks which single extensions stay acceptable.
     An empty result proves the prefix cannot reach the horizon.
     """
-    require_valid(sys)
     prefix = tuple(prefix)
     violation = check_sequence(sys, prefix)
     if violation is not None:
@@ -430,7 +425,6 @@ def build_chain(
     Returns Unreachable when no acceptable sequence of that length exists,
     Indeterminate when the node budget runs out first.
     """
-    require_valid(sys)
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
     node_cap = budget.node_cap if budget is not None else None
@@ -515,7 +509,6 @@ def find_periodic_witness(
     the first witness is the lexicographically least one, but failed
     branches die a whole row at a time.
     """
-    require_valid(sys)
     node_cap = budget.node_cap
     nodes_left = node_cap
     graphs: dict = {}
@@ -572,7 +565,6 @@ def classify(sys: ColoringSystem, budget: SearchBudget) -> Verdict:
     they return its 1x1 torus: it is the first period find_periodic_witness
     tries, at a cost of one node, and node_cap is always >= 1.
     """
-    require_valid(sys)
     o = sys.origin
     if sys.h_allows(o, o) and sys.v_allows(o, o):
         return HasColoring(PeriodicWitness(p=1, q=1, rows=((o,),)))

@@ -7,13 +7,15 @@ Relations are stored as n*n-bit masks, row-major by first component, so
 membership tests and whole-system comparisons are single int operations.
 That matters: the census sweeps all ``n * 2^(n^2) * 2^(n^2)`` systems.
 
-All types here are immutable values after construction and safe to share
+All types here are immutable values, valid once built: a constructor that
+is handed a bad color count, origin, mask or coloring domain raises
+InputError, so nothing downstream re-checks them.  They are safe to share
 across threads or processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Union
 
@@ -39,6 +41,20 @@ class ColoringSystem:
     origin: int
     h_mask: int
     v_mask: int
+
+    def __post_init__(self):
+        n = self.n
+        if not isinstance(n, int) or n < 1 or n > MAX_COLORS:
+            raise InputError(f"color count {n!r} out of range [1, {MAX_COLORS}]")
+        problems = []
+        if not isinstance(self.origin, int) or not 0 <= self.origin < n:
+            problems.append(f"origin color {self.origin!r} out of range [0, {n})")
+        limit = 1 << (n * n)
+        for label, mask in (("horizontal", self.h_mask), ("vertical", self.v_mask)):
+            if not isinstance(mask, int) or mask < 0 or mask >= limit:
+                problems.append(f"{label} mask {mask!r} has bits outside the {n}x{n} pair grid")
+        if problems:
+            raise InputError("; ".join(problems))
 
     @classmethod
     def from_pairs(
@@ -101,27 +117,6 @@ def _mask_to_pairs(mask: int, n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def validate_system(sys: ColoringSystem) -> list[str]:
-    """All invariant violations of a system; an empty list means valid."""
-    problems = []
-    if not isinstance(sys.n, int) or sys.n < 1 or sys.n > MAX_COLORS:
-        problems.append(f"color count {sys.n!r} out of range [1, {MAX_COLORS}]")
-        return problems
-    if not isinstance(sys.origin, int) or not 0 <= sys.origin < sys.n:
-        problems.append(f"origin color {sys.origin!r} out of range [0, {sys.n})")
-    limit = 1 << (sys.n * sys.n)
-    for label, mask in (("horizontal", sys.h_mask), ("vertical", sys.v_mask)):
-        if not isinstance(mask, int) or mask < 0 or mask >= limit:
-            problems.append(f"{label} mask {mask!r} has bits outside the {sys.n}x{sys.n} pair grid")
-    return problems
-
-
-def require_valid(sys: ColoringSystem) -> None:
-    problems = validate_system(sys)
-    if problems:
-        raise InputError("; ".join(problems))
-
-
 # ---------------------------------------------------------------------------
 # Isomorphism and canonical forms.
 #
@@ -168,7 +163,6 @@ def _least_h(n: int, origin: int, h_mask: int) -> tuple[int, list]:
 def canonicalize(sys: ColoringSystem) -> tuple[ColoringSystem, tuple[int, ...]]:
     """Canonical form plus the first bijection (in lexicographic order)
     that produces it.  Deterministic, so parallel callers agree."""
-    require_valid(sys)
     if sys.n > MAX_CANON_COLORS:
         raise InputError(f"canonicalization sweeps n! bijections; capped at n <= {MAX_CANON_COLORS}")
     canon_h, ties = _least_h(sys.n, sys.origin, sys.h_mask)
@@ -196,8 +190,6 @@ def is_isomorphic(s1: ColoringSystem, s2: ColoringSystem) -> bool:
 
     Systems with equal color counts above MAX_CANON_COLORS raise InputError,
     because their canonical forms are not computed."""
-    require_valid(s1)
-    require_valid(s2)
     return s1.n == s2.n and canonical_form(s1) == canonical_form(s2)
 
 
@@ -208,72 +200,75 @@ def is_isomorphic(s1: ColoringSystem, s2: ColoringSystem) -> bool:
 
 @dataclass(frozen=True)
 class TriangleColoring:
-    """A coloring of the first depth+1 tiles in diagonal order.
+    """A coloring of the first len(seq) tiles in diagonal order, stored as
+    that color sequence.
 
-    The domain is exactly {(x, y) : tile_index(x, y) <= depth} -- a staircase
-    triangle whose last anti-diagonal may be partial.  Interchangeable with a
-    color sequence of length depth+1.
+    The domain is {(x, y) : tile_index(x, y) < len(seq)} -- a staircase
+    triangle whose last anti-diagonal may be partial -- so every value
+    describes a staircase.  The grid forms (cells, rows) are views computed
+    from the sequence; read them once per pass.
     """
 
-    depth: int
-    cells: dict[tuple[int, int], int] = field(compare=True)
+    seq: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "seq", tuple(self.seq))
+        if not self.seq:
+            raise InputError("a coloring sequence must have at least one element")
 
     @classmethod
     def from_sequence(cls, seq: Iterable[int]) -> "TriangleColoring":
-        elems = list(seq)
-        if not elems:
-            raise InputError("a coloring sequence must have at least one element")
-        cells = {tile_at(k): c for k, c in enumerate(elems)}
-        return cls(depth=len(elems) - 1, cells=cells)
+        return cls(seq)
 
     @classmethod
     def from_rows(cls, depth: int, rows: list[list[int]]) -> "TriangleColoring":
         """Build from bottom-up rows; the domain must match ``depth`` exactly."""
         if depth < 0:
-            raise InputError(f"depth must be >= 0, got {depth}")
-        cells = {}
-        for y, row in enumerate(rows):
-            for x, color in enumerate(row):
-                cells[(x, y)] = color
-        built = cls(depth=depth, cells=cells)
-        problems = domain_problems(built)
-        if problems:
-            raise InputError("; ".join(problems))
-        return built
+            raise InputError(f"depth {depth} is negative")
+        size = sum(len(row) for row in rows)
+        if size != depth + 1:
+            raise InputError(f"domain has {size} tiles, expected {depth + 1}")
+        seq = []
+        for k in range(depth + 1):
+            x, y = tile_at(k)
+            # depth + 1 cells and every staircase tile present: no strays
+            if y >= len(rows) or x >= len(rows[y]):
+                raise InputError(f"tile {(x, y)} (diagonal index {k}) missing from domain")
+            seq.append(rows[y][x])
+        return cls(seq)
+
+    @property
+    def depth(self) -> int:
+        """Diagonal index of the last tile."""
+        return len(self.seq) - 1
+
+    @property
+    def cells(self) -> dict[tuple[int, int], int]:
+        """{(x, y): color} over the domain."""
+        return {tile_at(k): c for k, c in enumerate(self.seq)}
 
     def to_sequence(self) -> tuple[int, ...]:
-        return tuple(self.cells[tile_at(k)] for k in range(self.depth + 1))
+        return self.seq
 
     def rows(self) -> list[list[int]]:
         """Bottom-up rows, row y listing g(0,y) .. g(x_max,y)."""
         out: list[list[int]] = []
-        for y in range(self.max_y() + 1):
-            row = []
-            x = 0
-            while (x, y) in self.cells:
-                row.append(self.cells[(x, y)])
-                x += 1
-            out.append(row)
+        for k, c in enumerate(self.seq):
+            # diagonal order meets (0, y) first in row y, then ascending x
+            _, y = tile_at(k)
+            if y == len(out):
+                out.append([])
+            out[y].append(c)
         return out
 
     def max_y(self) -> int:
-        return max(y for _, y in self.cells)
+        x, y = tile_at(self.depth)
+        return x + y
 
     def max_x(self) -> int:
-        return max(x for x, _ in self.cells)
-
-
-def domain_problems(tri: TriangleColoring) -> list[str]:
-    """Check that the cell domain is exactly the depth-prefix staircase."""
-    if tri.depth < 0:
-        return [f"depth {tri.depth} is negative"]
-    expected = tri.depth + 1
-    if len(tri.cells) != expected:
-        return [f"domain has {len(tri.cells)} tiles, expected {expected}"]
-    for k in range(expected):
-        if tile_at(k) not in tri.cells:
-            return [f"tile {tile_at(k)} (diagonal index {k}) missing from domain"]
-    return []
+        # the last tile's diagonal is the top one; below it every diagonal is full
+        x, y = tile_at(self.depth)
+        return x + y if y == 0 else x + y - 1
 
 
 def full_triangle_depth(diagonals: int) -> int:
@@ -301,12 +296,10 @@ class PeriodicWitness:
 
     def expand(self, diagonals: int) -> TriangleColoring:
         """Unroll onto the full triangle of tiles with x + y <= diagonals."""
-        depth = full_triangle_depth(diagonals)
-        cells = {}
-        for k in range(depth + 1):
-            x, y = tile_at(k)
-            cells[(x, y)] = self.color_at(x, y)
-        return TriangleColoring(depth=depth, cells=cells)
+        # color_at, inlined: every witness check unrolls its torus here
+        rows, p, q = self.rows, self.p, self.q
+        tiles = map(tile_at, range(full_triangle_depth(diagonals) + 1))
+        return TriangleColoring(tuple(rows[y % q][x % p] for x, y in tiles))
 
 
 @dataclass(frozen=True)

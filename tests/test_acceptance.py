@@ -93,16 +93,16 @@ def test_bundled_example_accepted_and_corruptions_rejected(
     # check command dispatches to; a sample goes through the command itself
     rejected = accepted = 0
     cli_samples = []
-    for tile in sorted(example_triangle.cells):
-        original = example_triangle.cells[tile]
+    cells = example_triangle.cells
+    seq = example_triangle.to_sequence()
+    for tile in sorted(cells):
+        k = qc.tile_index(*tile)
         for color in range(13):
-            if color == original:
+            if color == cells[tile]:
                 continue
-            mutated = dict(example_triangle.cells)
-            mutated[tile] = color
-            bad = qc.TriangleColoring(depth=example_triangle.depth, cells=mutated)
+            bad = qc.TriangleColoring.from_sequence(seq[:k] + (color,) + seq[k + 1:])
             verdict = qc.check_triangle(example_system, bad)
-            breaks = _corruption_breaks(example_system, example_triangle.cells, tile, color)
+            breaks = _corruption_breaks(example_system, cells, tile, color)
             assert (verdict is not None) == breaks, (tile, color)
             if breaks:
                 rejected += 1

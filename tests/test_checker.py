@@ -66,15 +66,17 @@ def test_triangle_and_sequence_checkers_agree(example_system, example_sequence):
 @pytest.mark.parametrize(
     "depth, cells, message",
     [
-        (2, {(0, 0): 0, (0, 1): 0}, "domain has 2 tiles, expected 3"),
-        (1, {(0, 0): 0, (1, 0): 1}, "tile (0, 1) (diagonal index 1) missing from domain"),
-        (-1, {}, "depth -1 is negative"),
+        (2, [[0], [0]], "domain has 2 tiles, expected 3"),
+        (1, [[0, 1]], "tile (0, 1) (diagonal index 1) missing from domain"),
+        (-1, [], "depth -1 is negative"),
     ],
 )
 def test_check_triangle_rejects_a_wrong_domain(depth, cells, message):
-    tri = qc.TriangleColoring(depth=depth, cells=cells)
+    # cells are bottom-up rows, as in a triangle file.  A TriangleColoring is
+    # a staircase by construction, so a wrong domain never reaches
+    # check_triangle: from_rows rejects it.
     with pytest.raises(qc.InputError) as raised:
-        qc.check_triangle(CHECKER_SYSTEM, tri)
+        qc.TriangleColoring.from_rows(depth, cells)
     assert str(raised.value) == message
 
 

@@ -6,11 +6,17 @@ answered no; it must never be conflated with a parse failure.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import quadcolor as qc
 from quadcolor.cli import main
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 @pytest.fixture()
@@ -219,3 +225,24 @@ def test_canon_writes_canonical_system(tmp_path, capsys):
     assert main(["canon", path]) == 0
     printed = qc.parse_system(json.loads(capsys.readouterr().out))
     assert printed == qc.load_system(out)
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    """``python -m quadcolor.cli`` runs main and exits with its code."""
+    env = dict(os.environ)
+    src = str(Path(qc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "quadcolor.cli", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    stripes = str(FIXTURES / "stripes.system.json")
+    bad = tmp_path / "bad.witness.json"
+    bad.write_text('{"p":2,"q":1,"cells":[[0,5]]}')
+    result = run("check", stripes, str(bad))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    result = run("check", stripes, str(FIXTURES / "stripes.witness.json"))
+    assert result.returncode == 0
+    assert result.stdout == "accepted\n"

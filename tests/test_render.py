@@ -1,6 +1,8 @@
 """Renderer output: golden text, PPM pixel checks, SVG structure,
 palette behavior, and the text roundtrip."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,21 @@ def test_svg_is_deterministic(example_triangle):
     b = qc.render_triangle(example_triangle, fmt="svg", scale=2)
     assert a == b
     assert a.count(b"<rect") == len(example_triangle.cells)
+
+
+def test_example_render_bytes_are_pinned(example_triangle):
+    pinned = {
+        ("text", 1): "1d73d3213ec872900f36caef822bc24a2d9f5b13436a3dec2fce4334398b7a65",
+        ("svg", 1): "e0a52e9c03b26e790a0f0d870895a9b9ec8f28cb6d6cbcc2f95c0515fcdb7ee9",
+        ("ppm", 3): "f556ca00490e9756990fa2bb80b0f9438fc4ef95bdf96d7163307f12abed7281",
+    }
+    digests = {
+        (fmt, scale): hashlib.sha256(
+            qc.render_triangle(example_triangle, fmt=fmt, scale=scale)
+        ).hexdigest()
+        for fmt, scale in pinned
+    }
+    assert digests == pinned
 
 
 def test_default_palette_names():

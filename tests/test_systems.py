@@ -1,5 +1,6 @@
 """System values, bijections, canonical forms, triangles, witnesses."""
 
+import dataclasses
 import random
 from itertools import product
 
@@ -36,10 +37,30 @@ def test_successor_masks_match_pairs():
 
 
 def test_validate_catches_stray_mask_bits():
-    bad = qc.ColoringSystem(n=2, origin=0, h_mask=1 << 4, v_mask=0)
-    assert qc.validate_system(bad)
+    with pytest.raises(qc.InputError) as err:
+        qc.ColoringSystem(n=2, origin=0, h_mask=1 << 4, v_mask=0)
+    assert str(err.value) == "horizontal mask 16 has bits outside the 2x2 pair grid"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n": 0}, "color count 0 out of range [1, 64]"),
+        ({"n": 65}, "color count 65 out of range [1, 64]"),
+        ({"origin": -1}, "origin color -1 out of range [0, 3)"),
+        ({"origin": 3}, "origin color 3 out of range [0, 3)"),
+        ({"h_mask": -1}, "horizontal mask -1 has bits outside the 3x3 pair grid"),
+        ({"v_mask": 1 << 9}, "vertical mask 512 has bits outside the 3x3 pair grid"),
+    ],
+    ids=["n=0", "n=65", "origin=-1", "origin=n", "negative-mask", "stray-bit"],
+)
+def test_invalid_system_raises_at_construction(fields, message):
+    valid = qc.ColoringSystem(n=3, origin=1, h_mask=0b101, v_mask=0b110)
+    with pytest.raises(qc.InputError) as err:
+        qc.ColoringSystem(**{**vars(valid), **fields})
+    assert str(err.value) == message
     with pytest.raises(qc.InputError):
-        qc.require_valid(bad)
+        dataclasses.replace(valid, **fields)
 
 
 @given(system_strategy())
