@@ -1,6 +1,7 @@
 """Search engine against brute-force oracles: max length, enumeration,
 profiles, extendability, chains, witnesses, classification soundness."""
 
+import hashlib
 import random
 
 import pytest
@@ -155,6 +156,23 @@ def test_node_budget_reports_indeterminate():
     assert chain == qc.Indeterminate(max_seen=6, nodes=5)
     with pytest.raises(qc.BudgetExhausted):
         qc.extendable_colors(s, (0,), 64, node_cap=3)
+
+
+def test_budgeted_search_results_are_pinned():
+    # every n=2 system under a ladder of node caps: exhaustion and chains
+    # stop at the same node, with the same max_seen and node count, as the
+    # engine these bytes were recorded from; all five result kinds occur
+    results = []
+    for index in range(512):
+        s = qc.system_at(2, index)
+        for node_cap in (1, 2, 3, 5, 8, 13, 40, None):
+            budget = qc.SearchBudget(depth_cap=12, node_cap=node_cap)
+            results.append(qc.max_accept_length(s, budget))
+            results.append(qc.build_chain(s, 12, budget))
+    kinds = {type(r) for r in results}
+    assert kinds == {qc.ExactMax, qc.ReachedCap, qc.Indeterminate, qc.Unreachable, tuple}
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "1a21d9fc4797beb19d65429eb57d09bbfc50fe51d39e428762dd63facfe25f76"
 
 
 @given(system_strategy(max_colors=3))
