@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Iterator, Optional
 
 from .fileio import (
@@ -38,7 +38,6 @@ from .systems import (
     ColoringSystem,
     HasColoring,
     InputError,
-    PeriodicWitness,
     Verdict,
     _class_id,
     _least_h,
@@ -115,17 +114,13 @@ class MuEstimate:
 # -- classification -----------------------------------------------------------
 
 
-def _invert(perm: tuple) -> list:
-    out = [0] * len(perm)
+def _rows_back(rows: tuple, perm: tuple) -> tuple:
+    """A canonical form's witness rows, mapped back through the inverse of
+    the bijection perm that took a system to that form."""
+    back = [0] * len(perm)
     for c, pc in enumerate(perm):
-        out[pc] = c
-    return out
-
-
-def _relabel_witness(w: PeriodicWitness, relabel: list) -> PeriodicWitness:
-    return PeriodicWitness(
-        p=w.p, q=w.q, rows=tuple(tuple(relabel[c] for c in row) for row in w.rows)
-    )
+        back[pc] = c
+    return tuple(tuple(back[c] for c in row) for row in rows)
 
 
 def census_records(
@@ -143,7 +138,8 @@ def census_records(
     """
     for index, cid, perm, verdict in _classified(n, budget, start, stop, {}):
         if isinstance(verdict, HasColoring):
-            verdict = HasColoring(_relabel_witness(verdict.witness, _invert(perm)))
+            w = verdict.witness
+            verdict = HasColoring(replace(w, rows=_rows_back(w.rows, perm)))
         yield CensusRecord(
             system_index=index, system=system_at(n, index), verdict=verdict, canonical_id=cid
         )
@@ -203,8 +199,7 @@ def _line(index: int, cid: str, verdict: Verdict, perm: Optional[tuple] = None) 
         w = verdict.witness
         rows = w.rows
         if perm is not None:
-            back = _invert(perm)
-            rows = [[back[c] for c in row] for row in rows]
+            rows = _rows_back(rows, perm)
         cells = "],[".join(",".join(map(str, row)) for row in rows)
         detail = f'{{"p":{w.p},"q":{w.q},"cells":[[{cells}]]}}'
     else:

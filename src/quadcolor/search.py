@@ -8,12 +8,15 @@ ascending numeric order, which makes every result deterministic:
 enumerations come out lexicographic and first-found witnesses are
 reproducible.
 
-The leaf walk and the exhaustion prune colors whose H- or V-successor set
-is empty once the neighbor tile they doom falls inside the target length
-(for exhaustion, the longest length seen so far).  This never changes a
-result (the tests compare against brute-force filtration) but lets bounded
-systems die fast.  The length profile does not prune, since pruning would
-drop short sequences from its counts.
+Chains, enumeration, extendability and exhaustion are one walk over the
+tree of accepted sequences, with one of two prune horizons: a fixed target
+length, or (exhaustion) one past the longest length seen so far, which
+grows as the walk finds longer prefixes.  The walk prunes colors whose H-
+or V-successor set is empty once the neighbor tile they doom falls inside
+the horizon.  This never changes a result (the tests compare against
+brute-force filtration) but lets bounded systems die fast.  The length
+profile does not prune, since pruning would drop short sequences from its
+counts.
 """
 
 from __future__ import annotations
@@ -154,15 +157,21 @@ class _Search:
             m &= self.v_next[seq[k - s]]
         return m
 
-    def leaves(self, target: int, prefix: Sequence[int], want: Optional[int]) -> list:
+    def leaves(
+        self, target: int, prefix: Sequence[int], want: Optional[int], grow: bool = False
+    ) -> list:
         """The first ``want`` acceptable length-``target`` extensions of the
         (already accepted) prefix in lexicographic order, or all of them
         when want is None.
 
         Colors whose H- or V-successor set is empty are pruned once the
-        neighbor tile they doom falls inside the target.  This is the hot
-        loop of the whole package, so candidate masks are computed inline
-        on locals.
+        neighbor tile they doom has an index at most ``edge``: target - 1,
+        the index of a leaf, or with ``grow`` the length of the longest
+        prefix placed so far, the first index no placed prefix reaches.
+        So a growing walk exhausts the tree below the target, pruning only
+        what cannot beat its longest prefix, and max_seen ends as that
+        prefix's length.  This is the hot loop of the whole package, so
+        candidate masks are computed inline on locals.
         """
         k = len(prefix)
         if k >= target:
@@ -175,16 +184,17 @@ class _Search:
         nodes = 0
         deepest = k
         last = target - 1
+        edge = k if grow else last
         out: list = []
         stack = []
         cand = self._cands(k, seq)
         if cand:
             # right neighbor of tile k sits at index k+s+2, upper at k+s+1;
-            # a dead color placed at k dooms that index if it is < target
+            # a dead color placed at k dooms that index if it is <= edge
             s = ss[k]
-            if k + s + 2 < target:
+            if k + s + 2 <= edge:
                 cand &= live_h
-            if k + s + 1 < target:
+            if k + s + 1 <= edge:
                 cand &= live_v
         try:
             while True:
@@ -198,11 +208,14 @@ class _Search:
                         if k >= deepest:
                             deepest = k + 1
                     nodes += 1
-                    if k == last:
-                        out.append(tuple(seq) + (low.bit_length() - 1,))
-                        if len(out) == want:
-                            return out
-                        continue
+                    if k >= edge:
+                        if k == last:
+                            out.append(tuple(seq) + (low.bit_length() - 1,))
+                            if len(out) == want:
+                                return out
+                            continue
+                        # only a growing walk gets here: a new longest prefix
+                        edge = deepest = k + 1
                     seq.append(low.bit_length() - 1)
                     stack.append(cand)
                     k += 1
@@ -215,9 +228,9 @@ class _Search:
                     else:
                         cand = v_next[seq[k - s]]
                     if cand:
-                        if k + s + 2 < target:
+                        if k + s + 2 <= edge:
                             cand &= live_h
-                        if k + s + 1 < target:
+                        if k + s + 1 <= edge:
                             cand &= live_v
                 else:
                     if not stack:
@@ -229,65 +242,6 @@ class _Search:
             self.nodes_spent += nodes
             self.nodes_left = nodes_left
             self.max_seen = max(self.max_seen, deepest)
-
-    def exhaust(self, cap: int) -> tuple[int, bool, bool]:
-        """Explore the whole tree up to length cap.
-
-        Returns (longest length seen, reached cap, fully exhausted).  Stops
-        early the moment length cap is reached.  On budget exhaustion
-        returns with fully_exhausted=False instead of raising.  Inlined on
-        locals like leaves; colors are pruned against the longest length
-        seen so far plus one.
-        """
-        xs, ss = _geometry(cap)
-        h_next, v_next = self.h_next, self.v_next
-        live_h, live_v = self.live_h, self.live_v
-        nodes_left = self.nodes_left
-        nodes = 0
-        seq: list = []
-        stack: list = []
-        k = 0
-        best = 0
-        cand = self.origin_bit
-        try:
-            while True:
-                if cand:
-                    low = cand & -cand
-                    cand ^= low
-                    if nodes_left is not None:
-                        if nodes_left == 0:
-                            return best, False, False
-                        nodes_left -= 1
-                    nodes += 1
-                    seq.append(low.bit_length() - 1)
-                    stack.append(cand)
-                    k += 1
-                    if k > best:
-                        best = k
-                        if best == cap:
-                            return best, True, True
-                    x = xs[k]
-                    s = ss[k]
-                    if x:
-                        cand = h_next[seq[k - s - 1]]
-                        if x < s:
-                            cand &= v_next[seq[k - s]]
-                    else:
-                        cand = v_next[seq[k - s]]
-                    if cand:
-                        if k + s + 2 <= best:
-                            cand &= live_h
-                        if k + s + 1 <= best:
-                            cand &= live_v
-                else:
-                    if not stack:
-                        return best, False, True
-                    cand = stack.pop()
-                    seq.pop()
-                    k -= 1
-        finally:
-            self.nodes_spent += nodes
-            self.nodes_left = nodes_left
 
     def profile(self, cap: int) -> tuple[list, bool]:
         """counts[k] = number of acceptable sequences of length k+1, k < cap.
@@ -335,22 +289,24 @@ def max_accept_length(
 
     ExactMax(L) is a proof: the search tree was fully exhausted, so no
     sequence of length L+1 exists.  ReachedCap only certifies existence at
-    the cap.  Indeterminate reports an exhausted node budget.
+    the cap.  Indeterminate reports an exhausted node budget.  One growing
+    leaf walk decides all three: it looks for a single sequence of the cap
+    length, pruning against the longest prefix placed so far.
     """
     search = _Search(sys, node_cap=budget.node_cap)
-    best, reached_cap, complete = search.exhaust(budget.depth_cap)
-    if reached_cap:
+    try:
+        reached = search.leaves(budget.depth_cap, (), 1, grow=True)
+    except BudgetExhausted:
+        return Indeterminate(max_seen=search.max_seen, nodes=search.nodes_spent)
+    if reached:
         return ReachedCap(budget.depth_cap)
-    if complete:
-        return ExactMax(best)
-    return Indeterminate(max_seen=best, nodes=search.nodes_spent)
+    return ExactMax(search.max_seen)
 
 
 def enumerate_sequences(
     sys: ColoringSystem,
     length: int,
     limit: Optional[int] = None,
-    node_cap: Optional[int] = None,
 ) -> Enumeration:
     """All acceptable sequences of exactly ``length``, in lexicographic
     color order, truncated at ``limit`` when given."""
@@ -359,7 +315,7 @@ def enumerate_sequences(
     if limit is not None and limit < 0:
         raise InputError(f"limit must be >= 0 or None, got {limit}")
     want = None if limit is None else limit + 1
-    found = _Search(sys, node_cap=node_cap).leaves(length, (), want)
+    found = _Search(sys).leaves(length, (), want)
     truncated = limit is not None and len(found) > limit
     return Enumeration(sequences=tuple(found[:limit]), truncated=truncated)
 

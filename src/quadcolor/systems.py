@@ -33,6 +33,16 @@ def _pair_bit(n: int, first: int, second: int) -> int:
     return 1 << (first * n + second)
 
 
+def _origin_problems(n: int, origin: int) -> list[str]:
+    """Raise InputError on a bad color count; otherwise list what is wrong
+    with the origin (nothing, or one problem)."""
+    if not isinstance(n, int) or n < 1 or n > MAX_COLORS:
+        raise InputError(f"color count {n!r} out of range [1, {MAX_COLORS}]")
+    if not isinstance(origin, int) or not 0 <= origin < n:
+        return [f"origin color {origin!r} out of range [0, {n})"]
+    return []
+
+
 @dataclass(frozen=True)
 class ColoringSystem:
     """A coloring system: color count, origin color, and the H/V relations."""
@@ -44,11 +54,7 @@ class ColoringSystem:
 
     def __post_init__(self):
         n = self.n
-        if not isinstance(n, int) or n < 1 or n > MAX_COLORS:
-            raise InputError(f"color count {n!r} out of range [1, {MAX_COLORS}]")
-        problems = []
-        if not isinstance(self.origin, int) or not 0 <= self.origin < n:
-            problems.append(f"origin color {self.origin!r} out of range [0, {n})")
+        problems = _origin_problems(n, self.origin)
         limit = 1 << (n * n)
         for label, mask in (("horizontal", self.h_mask), ("vertical", self.v_mask)):
             if not isinstance(mask, int) or mask < 0 or mask >= limit:
@@ -65,11 +71,7 @@ class ColoringSystem:
         vertical: Iterable[tuple[int, int]],
     ) -> "ColoringSystem":
         """Build from explicit pair sets, rejecting anything out of range."""
-        problems = []
-        if not isinstance(n, int) or n < 1 or n > MAX_COLORS:
-            raise InputError(f"color count must be an int in [1, {MAX_COLORS}], got {n!r}")
-        if not isinstance(origin, int) or not 0 <= origin < n:
-            problems.append(f"origin color {origin!r} out of range [0, {n})")
+        problems = _origin_problems(n, origin)
         h_mask = 0
         v_mask = 0
         for label, pairs in (("horizontal", horizontal), ("vertical", vertical)):

@@ -56,11 +56,17 @@ def test_validate_catches_stray_mask_bits():
 )
 def test_invalid_system_raises_at_construction(fields, message):
     valid = qc.ColoringSystem(n=3, origin=1, h_mask=0b101, v_mask=0b110)
+    bad = {**vars(valid), **fields}
     with pytest.raises(qc.InputError) as err:
-        qc.ColoringSystem(**{**vars(valid), **fields})
+        qc.ColoringSystem(**bad)
     assert str(err.value) == message
     with pytest.raises(qc.InputError):
         dataclasses.replace(valid, **fields)
+    if "n" in fields or "origin" in fields:
+        # from_pairs shares the constructor's color-count and origin checks
+        with pytest.raises(qc.InputError) as err:
+            qc.ColoringSystem.from_pairs(bad["n"], bad["origin"], valid.h_pairs(), valid.v_pairs())
+        assert str(err.value) == message
 
 
 @given(system_strategy())
