@@ -22,7 +22,7 @@ import json
 import multiprocessing
 import os
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .fileio import (
     FileFormatError,
@@ -72,11 +72,6 @@ def system_at(n: int, index: int) -> ColoringSystem:
 def system_index(sys: ColoringSystem) -> int:
     relation_bits = sys.n * sys.n
     return ((sys.origin << relation_bits) | sys.h_mask) << relation_bits | sys.v_mask
-
-
-def enumerate_systems(n: int) -> Iterator[ColoringSystem]:
-    for index in range(total_systems(n)):
-        yield system_at(n, index)
 
 
 @dataclass(frozen=True)
@@ -281,13 +276,6 @@ class _Totals:
             mu_lower_bound=lower,
             champion=self.champion,
         )
-
-
-def summarize_records(n: int, records: Iterable[CensusRecord]) -> CensusSummary:
-    totals = _Totals(n)
-    for rec in records:
-        totals.add(rec.system_index, rec.verdict)
-    return totals.summary()
 
 
 # -- census chunks ----------------------------------------------------------------

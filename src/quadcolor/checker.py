@@ -99,8 +99,3 @@ def check_witness(sys: ColoringSystem, w: PeriodicWitness) -> Optional[Violation
     if w.p < 1 or w.q < 1 or len(w.rows) != w.q or any(len(row) != w.p for row in w.rows):
         raise InputError(f"witness cells are not a {w.p}x{w.q} grid")
     return check_triangle(sys, w.expand(w.p + w.q - 1))
-
-
-def is_prefix(p: Sequence[int], s: Sequence[int]) -> bool:
-    """True iff s starts with p (every sequence is a prefix of itself)."""
-    return len(s) >= len(p) and all(s[k] == p[k] for k in range(len(p)))

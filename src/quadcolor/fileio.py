@@ -18,7 +18,6 @@ the offending field.
 from __future__ import annotations
 
 import json
-from typing import Union
 
 from .systems import (
     Bounded,
@@ -241,9 +240,6 @@ def _verdict_from_fields(kind, fields, what: str) -> Verdict:
 
 
 # -- colorings of unspecified shape -------------------------------------------
-
-Coloring = Union[tuple, TriangleColoring, PeriodicWitness]
-
 
 def parse_coloring(obj, what: str = "coloring") -> tuple:
     """Dispatch on shape: array = sequence, object = triangle or witness.

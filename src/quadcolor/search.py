@@ -15,8 +15,8 @@ grows as the walk finds longer prefixes.  The walk prunes colors whose H-
 or V-successor set is empty once the neighbor tile they doom falls inside
 the horizon.  This never changes a result (the tests compare against
 brute-force filtration) but lets bounded systems die fast.  The length
-profile does not prune, since pruning would drop short sequences from its
-counts.
+profile does not walk the tree: it sweeps frontier words level by level,
+merging prefixes that end in the same word and counting them together.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ class Unreachable:
 @dataclass(frozen=True)
 class Enumeration:
     sequences: tuple[tuple[int, ...], ...]
-    truncated: bool
 
 
 @dataclass(frozen=True)
@@ -243,44 +242,6 @@ class _Search:
             self.nodes_left = nodes_left
             self.max_seen = max(self.max_seen, deepest)
 
-    def profile(self, cap: int) -> tuple[list, bool]:
-        """counts[k] = number of acceptable sequences of length k+1, k < cap.
-        Unpruned: pruning would drop short sequences from the counts.
-        Returns (counts, complete); counts are partial when incomplete."""
-        counts = [0] * cap
-        nodes_left = self.nodes_left
-        nodes = 0
-        seq: list = []
-        stack: list = []
-        k = 0
-        cand = self._cands(0, seq)
-        try:
-            while True:
-                if cand:
-                    low = cand & -cand
-                    cand ^= low
-                    if nodes_left is not None:
-                        if nodes_left == 0:
-                            return counts, False
-                        nodes_left -= 1
-                    nodes += 1
-                    counts[k] += 1
-                    if k + 1 == cap:
-                        continue
-                    seq.append(low.bit_length() - 1)
-                    stack.append(cand)
-                    k += 1
-                    cand = self._cands(k, seq)
-                else:
-                    if not stack:
-                        return counts, True
-                    cand = stack.pop()
-                    seq.pop()
-                    k -= 1
-        finally:
-            self.nodes_spent += nodes
-            self.nodes_left = nodes_left
-
 
 def max_accept_length(
     sys: ColoringSystem, budget: SearchBudget
@@ -303,32 +264,59 @@ def max_accept_length(
     return ExactMax(search.max_seen)
 
 
-def enumerate_sequences(
-    sys: ColoringSystem,
-    length: int,
-    limit: Optional[int] = None,
-) -> Enumeration:
+def enumerate_sequences(sys: ColoringSystem, length: int) -> Enumeration:
     """All acceptable sequences of exactly ``length``, in lexicographic
-    color order, truncated at ``limit`` when given."""
+    color order."""
     if length < 1:
         raise InputError(f"sequence length must be >= 1, got {length}")
-    if limit is not None and limit < 0:
-        raise InputError(f"limit must be >= 0 or None, got {limit}")
-    want = None if limit is None else limit + 1
-    found = _Search(sys).leaves(length, (), want)
-    truncated = limit is not None and len(found) > limit
-    return Enumeration(sequences=tuple(found[:limit]), truncated=truncated)
+    return Enumeration(sequences=tuple(_Search(sys).leaves(length, (), None)))
 
 
 def length_profile(
     sys: ColoringSystem, budget: SearchBudget
 ) -> Union[LengthProfile, Indeterminate]:
-    """Exact per-length counts up to the depth cap, from one traversal."""
-    search = _Search(sys, node_cap=budget.node_cap)
-    counts, complete = search.profile(budget.depth_cap)
-    if not complete:
-        longest = max((k + 1 for k, c in enumerate(counts) if c), default=0)
-        return Indeterminate(max_seen=longest, nodes=search.nodes_spent)
+    """Exact per-length counts up to the depth cap, from one sweep over
+    frontier words.
+
+    Before tile k = (x, y) with s = x + y is placed, its frontier word
+    holds the colors of tiles k-s-1..k-1, or k-s..k-1 when x == 0: exactly
+    the placed tiles whose right or upper neighbor is still unplaced, so
+    the word alone decides every extension.  Each level maps a word to the
+    number of accepted prefixes ending in it, and counts[k] is the sum of
+    those numbers once tile k is placed.
+
+    node_cap counts frontier words expanded.  When it runs out, the result
+    is Indeterminate, with max_seen the longest length whose count
+    completed.
+    """
+    n = sys.n
+    h_next = [sys.h_successors(c) for c in range(n)]
+    v_next = [sys.v_successors(c) for c in range(n)]
+    full = (1 << n) - 1
+    nodes_left = budget.node_cap
+    counts = [0] * budget.depth_cap
+    frontier = {(): 1}
+    for k in range(budget.depth_cap):
+        x, y = tile_at(k)
+        grown: dict = {}
+        for word, mult in frontier.items():
+            if nodes_left is not None:
+                if nodes_left == 0:
+                    return Indeterminate(max_seen=k, nodes=budget.node_cap)
+                nodes_left -= 1
+            cand = full if k else 1 << sys.origin
+            if x:
+                cand &= h_next[word[0]]
+            if y:
+                cand &= v_next[word[1] if x else word[0]]
+            kept = word[1:] if x else word
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                nxt = kept + (low.bit_length() - 1,)
+                grown[nxt] = grown.get(nxt, 0) + mult
+        counts[k] = sum(grown.values())
+        frontier = grown
     return LengthProfile(counts=tuple(counts))
 
 
@@ -336,7 +324,6 @@ def extendable_colors(
     sys: ColoringSystem,
     prefix: Sequence[int],
     horizon: int,
-    node_cap: Optional[int] = None,
 ) -> frozenset:
     """Colors c such that prefix + (c,) is accepted and still extends to an
     acceptable sequence of length ``horizon``.
@@ -352,7 +339,7 @@ def extendable_colors(
     if horizon < len(prefix):
         raise InputError(f"horizon {horizon} shorter than the prefix ({len(prefix)})")
     target = max(horizon, len(prefix) + 1)
-    search = _Search(sys, node_cap=node_cap)
+    search = _Search(sys)
     out = set()
     cand = search._cands(len(prefix), prefix)
     while cand:

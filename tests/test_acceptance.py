@@ -153,7 +153,6 @@ def test_enumeration_matches_brute_filtration():
         sys = random_system(rng, n=2 + trial % 2)
         for length in range(1, 11):
             got = qc.enumerate_sequences(sys, length)
-            assert not got.truncated
             assert set(got.sequences) == set(_filtration(sys, length)), (trial, length)
     _report("enumeration set-exact vs n^L filtration, 200 systems, L <= 10", t0, limit=120.0)
 
@@ -239,7 +238,6 @@ def test_accepted_sequences_are_prefix_closed(example_system):
         sampled += 1
         for cut in range(1, len(seq) + 1):
             assert qc.check_sequence(sys, seq[:cut]) is None, (sys, seq, cut)
-            assert qc.is_prefix(seq[:cut], seq)
     _report("prefix closure on 1000 accepted sequences", t0)
 
 
@@ -273,7 +271,8 @@ def test_verdicts_invariant_under_renaming():
 
     for n in (1, 2, 3):
         seen = set()
-        for sys in qc.enumerate_systems(n):
+        for index in range(qc.total_systems(n)):
+            sys = qc.system_at(n, index)
             canon = qc.canonical_form(sys)
             key = (canon.origin, canon.h_mask, canon.v_mask)
             if key in seen:

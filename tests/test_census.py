@@ -53,7 +53,7 @@ def test_system_index_roundtrip():
 
 
 def test_enumeration_order_is_origin_then_h_then_v():
-    listed = list(qc.enumerate_systems(1))
+    listed = [qc.system_at(1, i) for i in range(qc.total_systems(1))]
     assert [(s.origin, s.h_mask, s.v_mask) for s in listed] == [
         (0, 0, 0),
         (0, 0, 1),
@@ -200,18 +200,37 @@ def test_relabeled_witnesses_certify_their_own_system():
             assert qc.check_witness(rec.system, rec.verdict.witness) is None
 
 
+def test_verdicts_invariant_under_transposition():
+    # swapping H and V transposes every coloring: the verdict kind stays,
+    # and so does the number of complete diagonals of a longest sequence
+    for index in range(512):
+        s = qc.system_at(2, index)
+        base = qc.classify(s, CAPS)
+        other = qc.classify(qc.ColoringSystem(2, s.origin, s.v_mask, s.h_mask), CAPS)
+        assert qc.verdict_kind(other) == qc.verdict_kind(base), index
+        if isinstance(base, qc.Bounded):
+            assert qc.diagonal_of(other.max_len) == qc.diagonal_of(base.max_len), index
+
+
 def test_canonical_id_matches_canonical_form():
     for rec in census_records(2, CAPS, start=100, stop=140):
         assert rec.canonical_id == qc.canonical_id(qc.canonical_form(rec.system))
 
 
-def test_summarize_records_counts():
+def _totals(n, records):
+    totals = census._Totals(n)
+    for rec in records:
+        totals.add(rec.system_index, rec.verdict)
+    return totals.summary()
+
+
+def test_totals_count_and_certify_only_a_full_set():
     records = list(census_records(1, CAPS))
-    summary = qc.summarize_records(1, records)
+    summary = _totals(1, records)
     assert (summary.bounded, summary.has_coloring, summary.unknown) == (3, 1, 0)
     assert summary.mu_exact == 3
     # a partial record set cannot certify exactness
-    partial = qc.summarize_records(1, records[:3])
+    partial = _totals(1, records[:3])
     assert partial.mu_exact is None
     assert partial.mu_lower_bound == 3
 
@@ -273,7 +292,7 @@ def test_run_classifies_each_class_once(monkeypatch):
 
     monkeypatch.setattr(census, "classify", counting)
     qc.run_census(2, CAPS)
-    classes = {qc.canonical_form(sys) for sys in qc.enumerate_systems(2)}
+    classes = {qc.canonical_form(qc.system_at(2, i)) for i in range(qc.total_systems(2))}
     assert sorted(map(qc.system_index, classified)) == sorted(map(qc.system_index, classes))
     classified.clear()
     qc.run_census(2, CAPS, stop_after=3)

@@ -97,17 +97,7 @@ def test_prefixes_of_accepted_stay_accepted(s, rng):
     seq = random_accepted_sequence(rng, s, rng.randrange(1, 30))
     assert qc.check_sequence(s, seq) is None
     for j in range(1, len(seq)):
-        prefix = seq[:j]
-        assert qc.is_prefix(prefix, seq)
-        assert qc.check_sequence(s, prefix) is None
-
-
-def test_is_prefix():
-    assert qc.is_prefix((1, 2), (1, 2, 3))
-    assert qc.is_prefix((), (1,))
-    assert qc.is_prefix((1, 2), (1, 2))
-    assert not qc.is_prefix((1, 3), (1, 2, 3))
-    assert not qc.is_prefix((1, 2, 3), (1, 2))
+        assert qc.check_sequence(s, seq[:j]) is None
 
 
 def test_corruption_sweep_small_system():

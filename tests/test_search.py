@@ -48,25 +48,8 @@ def test_max_length_matches_brute(s):
 @settings(max_examples=120, deadline=None)
 def test_enumerate_matches_brute_filtration(s, length):
     got = qc.enumerate_sequences(s, length)
-    assert not got.truncated
     assert list(got.sequences) == sorted(got.sequences)
     assert list(got.sequences) == brute_sequences(s, length)
-
-
-@given(system_strategy(max_colors=3))
-@settings(max_examples=100, deadline=None)
-def test_enumerate_truncation(s):
-    full = qc.enumerate_sequences(s, 5).sequences
-    if len(full) >= 2:
-        cut = qc.enumerate_sequences(s, 5, limit=len(full) - 1)
-        assert cut.truncated
-        assert cut.sequences == full[: len(full) - 1]
-    exact = qc.enumerate_sequences(s, 5, limit=len(full))
-    assert not exact.truncated
-    assert exact.sequences == full
-    none = qc.enumerate_sequences(s, 5, limit=0)
-    assert none.sequences == ()
-    assert none.truncated == bool(full)
 
 
 @given(system_strategy(max_colors=3))
@@ -154,8 +137,34 @@ def test_node_budget_reports_indeterminate():
     chain = qc.build_chain(s, 40, qc.SearchBudget(depth_cap=40, node_cap=5))
     # the origin plus five placements: the deepest prefix reached
     assert chain == qc.Indeterminate(max_seen=6, nodes=5)
-    with pytest.raises(qc.BudgetExhausted):
-        qc.extendable_colors(s, (0,), 64, node_cap=3)
+
+
+def test_budgeted_length_profile_counts_frontier_words():
+    # on the free system the sweep expands 1, 1, 2 and 4 frontier words
+    # for tiles 0..3; a node cap stops it inside the first tile it cannot
+    # finish, and max_seen is the longest length whose count completed
+    s = qc.ColoringSystem.from_pairs(2, 0, [(0, 0), (0, 1), (1, 0), (1, 1)],
+                                     [(0, 0), (0, 1), (1, 0), (1, 1)])
+    for node_cap, max_seen in ((1, 1), (2, 2), (3, 2), (5, 3), (8, 4)):
+        budget = qc.SearchBudget(depth_cap=40, node_cap=node_cap)
+        assert qc.length_profile(s, budget) == qc.Indeterminate(max_seen=max_seen, nodes=node_cap)
+    profile = qc.length_profile(s, qc.SearchBudget(depth_cap=12))
+    assert profile == qc.LengthProfile(counts=tuple(2 ** (length - 1) for length in range(1, 13)))
+
+
+def test_exhaustion_matches_the_length_profile_at_the_census_cap():
+    # the frontier sweep shares no code with the leaves walk: exhaustion
+    # is exact at L exactly when the last nonzero count is at length L
+    budget = qc.SearchBudget(depth_cap=64)
+    for index in range(512):
+        s = qc.system_at(2, index)
+        counts = qc.length_profile(s, budget).counts
+        longest = max(k + 1 for k, count in enumerate(counts) if count)
+        if longest < budget.depth_cap:
+            expected = qc.ExactMax(longest)
+        else:
+            expected = qc.ReachedCap(budget.depth_cap)
+        assert qc.max_accept_length(s, budget) == expected, index
 
 
 def test_budgeted_search_results_are_pinned():
