@@ -48,8 +48,7 @@ def main() -> int:
         print(f"chain of length {args.horizon} in {elapsed:.2f} s")
         path = os.path.join(args.out_dir, "chain.svg")
         with open(path, "wb") as fh:
-            fh.write(render_triangle(TriangleColoring.from_sequence(chain),
-                                     fmt="svg", scale=args.scale))
+            fh.write(render_triangle(TriangleColoring(chain), fmt="svg", scale=args.scale))
         print(f"wrote {path}")
     return 0
 

@@ -85,7 +85,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"chain: node budget exhausted after {result.nodes} placements")
         return EXIT_NO
     print("chain: " + json.dumps(list(result)))
-    triangle = TriangleColoring.from_sequence(result)
+    triangle = TriangleColoring(result)
     sys.stdout.write(render_triangle(triangle, "text").decode("ascii"))
     return EXIT_YES
 
@@ -138,7 +138,7 @@ def _load_palette(path: str) -> Palette:
 def _cmd_render(args: argparse.Namespace) -> int:
     kind, coloring = fileio.load_coloring(args.coloring)
     if kind == "sequence":
-        triangle = TriangleColoring.from_sequence(coloring)
+        triangle = TriangleColoring(coloring)
     elif kind == "triangle":
         triangle = coloring
     else:

@@ -73,4 +73,4 @@ def example_triangle() -> TriangleColoring:
 
 
 def example_sequence() -> tuple:
-    return example_triangle().to_sequence()
+    return example_triangle().seq

@@ -8,15 +8,18 @@ ascending numeric order, which makes every result deterministic:
 enumerations come out lexicographic and first-found witnesses are
 reproducible.
 
-Chains, enumeration, extendability and exhaustion are one walk over the
-tree of accepted sequences, with one of two prune horizons: a fixed target
-length, or (exhaustion) one past the longest length seen so far, which
-grows as the walk finds longer prefixes.  The walk prunes colors whose H-
-or V-successor set is empty once the neighbor tile they doom falls inside
-the horizon.  This never changes a result (the tests compare against
-brute-force filtration) but lets bounded systems die fast.  The length
-profile does not walk the tree: it sweeps frontier words level by level,
-merging prefixes that end in the same word and counting them together.
+Chains, enumeration, extendability and exhaustion all call one function,
+_leaves, a walk over the tree of accepted sequences with one of two prune
+horizons: a fixed target length, or (exhaustion) one past the longest
+length seen so far, which grows as the walk finds longer prefixes.  It
+holds no state between calls.  Given a node cap, it returns None for its
+leaves when the cap runs out, and the caller reports Indeterminate.  The
+walk prunes colors whose H- or V-successor set is empty once the neighbor
+tile they doom falls inside the horizon.  This never changes a result (the
+tests compare against brute-force filtration) but lets bounded systems die
+fast.  The length profile does not walk the tree: it sweeps frontier words
+level by level, merging prefixes that end in the same word and counting
+them together.
 """
 
 from __future__ import annotations
@@ -38,11 +41,16 @@ from .systems import (
 
 
 class BudgetExhausted(Exception):
-    """Raised when a search runs out of its node budget."""
+    """Raised when the periodic-witness search runs out of its node budget."""
 
     def __init__(self, nodes: int):
         super().__init__(f"search node budget exhausted after {nodes} nodes")
         self.nodes = nodes
+
+
+def _is_count(value) -> bool:
+    """An int >= 1; bools are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -54,10 +62,10 @@ class SearchBudget:
     node_cap: Optional[int] = None
 
     def __post_init__(self):
-        if self.depth_cap < 1 or self.period_cap < 1:
-            raise InputError(f"budget caps must be >= 1, got {self}")
-        if self.node_cap is not None and self.node_cap < 1:
-            raise InputError(f"node cap must be >= 1 or None, got {self.node_cap}")
+        if not (_is_count(self.depth_cap) and _is_count(self.period_cap)):
+            raise InputError(f"budget caps must be ints >= 1, got {self}")
+        if self.node_cap is not None and not _is_count(self.node_cap):
+            raise InputError(f"node cap must be an int >= 1 or None, got {self.node_cap!r}")
 
 
 @dataclass(frozen=True)
@@ -119,128 +127,110 @@ def _geometry(upto: int) -> tuple[list, list]:
     return xs, ss
 
 
-class _Search:
-    """One search session over a fixed system: precomputed successor masks
-    and a node budget shared by all walks."""
+def _leaves(
+    sys: ColoringSystem,
+    target: int,
+    prefix: Sequence[int],
+    want: Optional[int],
+    grow: bool = False,
+    node_cap: Optional[int] = None,
+) -> tuple[Optional[list], int]:
+    """The sequence walk: (leaves, longest).
 
-    def __init__(self, sys: ColoringSystem, node_cap: Optional[int] = None):
-        n = sys.n
-        self.full = (1 << n) - 1
-        self.origin_bit = 1 << sys.origin
-        self.h_next = [sys.h_successors(c) for c in range(n)]
-        self.v_next = [sys.v_successors(c) for c in range(n)]
-        live_h = 0
-        live_v = 0
-        for c in range(n):
-            if self.h_next[c]:
-                live_h |= 1 << c
-            if self.v_next[c]:
-                live_v |= 1 << c
-        self.live_h = live_h
-        self.live_v = live_v
-        self.nodes_left = node_cap
-        self.nodes_spent = 0
-        self.max_seen = 0  # longest sequence placed by a budgeted leaves walk
+    leaves holds the first ``want`` acceptable length-``target``
+    extensions of the (already accepted) prefix in lexicographic order, or
+    all of them when want is None.  It is None when the walk places
+    node_cap colors and needs another; the walk then stops at once.
+    longest is the length of the longest prefix placed, tracked by a
+    growing or budgeted walk (a fixed, unbudgeted one reports len(prefix)).
 
-    def _cands(self, k: int, seq: Sequence[int]) -> int:
-        """Colors legal at index k against the already-placed prefix."""
-        if k == 0:
-            return self.origin_bit
-        xs, ss = _geometry(k + 1)
-        x = xs[k]
-        s = ss[k]
-        m = self.full
-        if x:
-            m &= self.h_next[seq[k - s - 1]]
+    Colors whose H- or V-successor set is empty are pruned once the
+    neighbor tile they doom has an index at most ``edge``: target - 1,
+    the index of a leaf, or with ``grow`` the length of the longest
+    prefix placed so far, the first index no placed prefix reaches.
+    So a growing walk exhausts the tree below the target, pruning only
+    what cannot beat its longest prefix, and longest ends as that
+    prefix's length.  This is the hot loop of the whole package, so
+    candidate masks are computed inline on locals.
+    """
+    k = len(prefix)
+    if k >= target:
+        return [tuple(prefix)], k
+    n = sys.n
+    h_next = [sys.h_successors(c) for c in range(n)]
+    v_next = [sys.v_successors(c) for c in range(n)]
+    live_h = 0
+    live_v = 0
+    for c in range(n):
+        if h_next[c]:
+            live_h |= 1 << c
+        if v_next[c]:
+            live_v |= 1 << c
+    xs, ss = _geometry(target)
+    seq = list(prefix)
+    nodes_left = node_cap
+    deepest = k
+    last = target - 1
+    edge = k if grow else last
+    out: list = []
+    stack = []
+    x = xs[k]
+    s = ss[k]
+    if not k:
+        cand = 1 << sys.origin
+    elif x:
+        cand = h_next[seq[k - s - 1]]
         if x < s:  # y = s - x > 0
-            m &= self.v_next[seq[k - s]]
-        return m
-
-    def leaves(
-        self, target: int, prefix: Sequence[int], want: Optional[int], grow: bool = False
-    ) -> list:
-        """The first ``want`` acceptable length-``target`` extensions of the
-        (already accepted) prefix in lexicographic order, or all of them
-        when want is None.
-
-        Colors whose H- or V-successor set is empty are pruned once the
-        neighbor tile they doom has an index at most ``edge``: target - 1,
-        the index of a leaf, or with ``grow`` the length of the longest
-        prefix placed so far, the first index no placed prefix reaches.
-        So a growing walk exhausts the tree below the target, pruning only
-        what cannot beat its longest prefix, and max_seen ends as that
-        prefix's length.  This is the hot loop of the whole package, so
-        candidate masks are computed inline on locals.
-        """
-        k = len(prefix)
-        if k >= target:
-            return [tuple(prefix)]
-        xs, ss = _geometry(target)
-        seq = list(prefix)
-        h_next, v_next = self.h_next, self.v_next
-        live_h, live_v = self.live_h, self.live_v
-        nodes_left = self.nodes_left
-        nodes = 0
-        deepest = k
-        last = target - 1
-        edge = k if grow else last
-        out: list = []
-        stack = []
-        cand = self._cands(k, seq)
+            cand &= v_next[seq[k - s]]
+    else:
+        cand = v_next[seq[k - s]]
+    if cand:
+        # right neighbor of tile k sits at index k+s+2, upper at k+s+1;
+        # a dead color placed at k dooms that index if it is <= edge
+        if k + s + 2 <= edge:
+            cand &= live_h
+        if k + s + 1 <= edge:
+            cand &= live_v
+    while True:
         if cand:
-            # right neighbor of tile k sits at index k+s+2, upper at k+s+1;
-            # a dead color placed at k dooms that index if it is <= edge
+            low = cand & -cand
+            cand ^= low
+            if nodes_left is not None:
+                if nodes_left == 0:
+                    return None, deepest
+                nodes_left -= 1
+                if k >= deepest:
+                    deepest = k + 1
+            if k >= edge:
+                if k == last:
+                    out.append(tuple(seq) + (low.bit_length() - 1,))
+                    if len(out) == want:
+                        return out, deepest
+                    continue
+                # only a growing walk gets here: a new longest prefix
+                edge = deepest = k + 1
+            seq.append(low.bit_length() - 1)
+            stack.append(cand)
+            k += 1
+            x = xs[k]
             s = ss[k]
-            if k + s + 2 <= edge:
-                cand &= live_h
-            if k + s + 1 <= edge:
-                cand &= live_v
-        try:
-            while True:
-                if cand:
-                    low = cand & -cand
-                    cand ^= low
-                    if nodes_left is not None:
-                        if nodes_left == 0:
-                            raise BudgetExhausted(self.nodes_spent + nodes)
-                        nodes_left -= 1
-                        if k >= deepest:
-                            deepest = k + 1
-                    nodes += 1
-                    if k >= edge:
-                        if k == last:
-                            out.append(tuple(seq) + (low.bit_length() - 1,))
-                            if len(out) == want:
-                                return out
-                            continue
-                        # only a growing walk gets here: a new longest prefix
-                        edge = deepest = k + 1
-                    seq.append(low.bit_length() - 1)
-                    stack.append(cand)
-                    k += 1
-                    x = xs[k]
-                    s = ss[k]
-                    if x:
-                        cand = h_next[seq[k - s - 1]]
-                        if x < s:
-                            cand &= v_next[seq[k - s]]
-                    else:
-                        cand = v_next[seq[k - s]]
-                    if cand:
-                        if k + s + 2 <= edge:
-                            cand &= live_h
-                        if k + s + 1 <= edge:
-                            cand &= live_v
-                else:
-                    if not stack:
-                        return out
-                    cand = stack.pop()
-                    seq.pop()
-                    k -= 1
-        finally:
-            self.nodes_spent += nodes
-            self.nodes_left = nodes_left
-            self.max_seen = max(self.max_seen, deepest)
+            if x:
+                cand = h_next[seq[k - s - 1]]
+                if x < s:
+                    cand &= v_next[seq[k - s]]
+            else:
+                cand = v_next[seq[k - s]]
+            if cand:
+                if k + s + 2 <= edge:
+                    cand &= live_h
+                if k + s + 1 <= edge:
+                    cand &= live_v
+        else:
+            if not stack:
+                return out, deepest
+            cand = stack.pop()
+            seq.pop()
+            k -= 1
 
 
 def max_accept_length(
@@ -254,14 +244,12 @@ def max_accept_length(
     leaf walk decides all three: it looks for a single sequence of the cap
     length, pruning against the longest prefix placed so far.
     """
-    search = _Search(sys, node_cap=budget.node_cap)
-    try:
-        reached = search.leaves(budget.depth_cap, (), 1, grow=True)
-    except BudgetExhausted:
-        return Indeterminate(max_seen=search.max_seen, nodes=search.nodes_spent)
+    reached, longest = _leaves(sys, budget.depth_cap, (), 1, grow=True, node_cap=budget.node_cap)
+    if reached is None:
+        return Indeterminate(max_seen=longest, nodes=budget.node_cap)
     if reached:
         return ReachedCap(budget.depth_cap)
-    return ExactMax(search.max_seen)
+    return ExactMax(longest)
 
 
 def enumerate_sequences(sys: ColoringSystem, length: int) -> Enumeration:
@@ -269,7 +257,7 @@ def enumerate_sequences(sys: ColoringSystem, length: int) -> Enumeration:
     color order."""
     if length < 1:
         raise InputError(f"sequence length must be >= 1, got {length}")
-    return Enumeration(sequences=tuple(_Search(sys).leaves(length, (), None)))
+    return Enumeration(sequences=tuple(_leaves(sys, length, (), None)[0]))
 
 
 def length_profile(
@@ -330,23 +318,20 @@ def extendable_colors(
 
     The horizon is clamped to at least one extension step, so a horizon
     equal to len(prefix) asks which single extensions stay acceptable.
-    An empty result proves the prefix cannot reach the horizon.
+    The empty prefix is allowed: its answer is {origin} or nothing.  An
+    empty result proves the prefix cannot reach the horizon.
     """
     prefix = tuple(prefix)
-    violation = check_sequence(sys, prefix)
+    violation = check_sequence(sys, prefix) if prefix else None
     if violation is not None:
         raise InputError(f"prefix is not accepted: {violation.message()}")
     if horizon < len(prefix):
         raise InputError(f"horizon {horizon} shorter than the prefix ({len(prefix)})")
     target = max(horizon, len(prefix) + 1)
-    search = _Search(sys)
     out = set()
-    cand = search._cands(len(prefix), prefix)
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        c = low.bit_length() - 1
-        if search.leaves(target, prefix + (c,), 1):
+    for c in range(sys.n):
+        grown = prefix + (c,)
+        if check_sequence(sys, grown) is None and _leaves(sys, target, grown, 1)[0]:
             out.add(c)
     return frozenset(out)
 
@@ -371,11 +356,9 @@ def build_chain(
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
     node_cap = budget.node_cap if budget is not None else None
-    search = _Search(sys, node_cap=node_cap)
-    try:
-        found = search.leaves(horizon, (sys.origin,), 1)
-    except BudgetExhausted:
-        return Indeterminate(max_seen=search.max_seen, nodes=search.nodes_spent)
+    found, longest = _leaves(sys, horizon, (sys.origin,), 1, node_cap=node_cap)
+    if found is None:
+        return Indeterminate(max_seen=longest, nodes=node_cap)
     if not found:
         return Unreachable(horizon)
     return found[0]

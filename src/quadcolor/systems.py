@@ -70,13 +70,18 @@ class ColoringSystem:
         horizontal: Iterable[tuple[int, int]],
         vertical: Iterable[tuple[int, int]],
     ) -> "ColoringSystem":
-        """Build from explicit pair sets, rejecting anything out of range."""
+        """Build from explicit pair sets, rejecting anything that is not a
+        pair of colors in range."""
         problems = _origin_problems(n, origin)
         h_mask = 0
         v_mask = 0
         for label, pairs in (("horizontal", horizontal), ("vertical", vertical)):
             for pair in pairs:
-                c, d = pair
+                try:
+                    c, d = pair
+                except (TypeError, ValueError):
+                    problems.append(f"{label} pair {pair!r} is not two colors")
+                    continue
                 if not (isinstance(c, int) and isinstance(d, int) and 0 <= c < n and 0 <= d < n):
                     problems.append(f"{label} pair {pair!r} out of range [0, {n})^2")
                 elif label == "horizontal":
@@ -219,10 +224,6 @@ class TriangleColoring:
             raise InputError("a coloring sequence must have at least one element")
 
     @classmethod
-    def from_sequence(cls, seq: Iterable[int]) -> "TriangleColoring":
-        return cls(seq)
-
-    @classmethod
     def from_rows(cls, depth: int, rows: list[list[int]]) -> "TriangleColoring":
         """Build from bottom-up rows; the domain must match ``depth`` exactly."""
         if depth < 0:
@@ -248,9 +249,6 @@ class TriangleColoring:
     def cells(self) -> dict[tuple[int, int], int]:
         """{(x, y): color} over the domain."""
         return {tile_at(k): c for k, c in enumerate(self.seq)}
-
-    def to_sequence(self) -> tuple[int, ...]:
-        return self.seq
 
     def rows(self) -> list[list[int]]:
         """Bottom-up rows, row y listing g(0,y) .. g(x_max,y)."""

@@ -94,13 +94,13 @@ def test_bundled_example_accepted_and_corruptions_rejected(
     rejected = accepted = 0
     cli_samples = []
     cells = example_triangle.cells
-    seq = example_triangle.to_sequence()
+    seq = example_triangle.seq
     for tile in sorted(cells):
         k = qc.tile_index(*tile)
         for color in range(13):
             if color == cells[tile]:
                 continue
-            bad = qc.TriangleColoring.from_sequence(seq[:k] + (color,) + seq[k + 1:])
+            bad = qc.TriangleColoring(seq[:k] + (color,) + seq[k + 1:])
             verdict = qc.check_triangle(example_system, bad)
             breaks = _corruption_breaks(example_system, cells, tile, color)
             assert (verdict is not None) == breaks, (tile, color)

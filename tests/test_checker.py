@@ -53,12 +53,12 @@ def test_example_triangle_accepted(example_system, example_triangle, example_seq
 
 
 def test_triangle_and_sequence_checkers_agree(example_system, example_sequence):
-    tri = qc.TriangleColoring.from_sequence(example_sequence)
+    tri = qc.TriangleColoring(example_sequence)
     assert qc.check_triangle(example_system, tri) is None
     corrupted = list(example_sequence)
     corrupted[17] = (corrupted[17] + 1) % example_system.n
     v_seq = qc.check_sequence(example_system, tuple(corrupted))
-    v_tri = qc.check_triangle(example_system, qc.TriangleColoring.from_sequence(corrupted))
+    v_tri = qc.check_triangle(example_system, qc.TriangleColoring(corrupted))
     assert v_seq is not None and v_tri is not None
     assert (v_seq.kind, v_seq.index, v_seq.tile) == (v_tri.kind, v_tri.index, v_tri.tile)
 

@@ -1,12 +1,18 @@
-"""README.md's examples run as written and its census line is what the CLI prints."""
+"""README.md's examples run as written, its command-line transcripts are
+what the CLI prints, and the bundled fixture files hold the fixtures module's
+data."""
 
 import json
 import re
 from pathlib import Path
 
-import quadcolor as qc
+import pytest
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+import quadcolor as qc
+from quadcolor import cli, fileio, fixtures
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_library_example_runs():
@@ -22,3 +28,44 @@ def test_census_line_is_the_cli_summary():
     # CensusSummary's field order
     summary = qc.CensusSummary(2, 512, 314, 176, 22, None, 6, 41)
     assert json.dumps(qc.summary_to_json(summary)) + "\n" in README.read_text(encoding="utf-8")
+
+
+def _transcripts() -> dict:
+    """README's ``$ quadcolor ...`` lines, each mapped to the output lines
+    under it (up to the next blank or ``$`` line)."""
+    out: dict = {}
+    command = None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ quadcolor "):
+            command = line[len("$ quadcolor "):]
+            out[command] = ""
+        elif command is not None and line and not line.startswith("```"):
+            out[command] += line + "\n"
+        else:
+            command = None
+    return out
+
+
+@pytest.mark.parametrize(
+    "command, exit_code",
+    [
+        ("check fixtures/example.system.json fixtures/example.triangle.json", 0),
+        ("classify fixtures/stripes.system.json", 0),
+        ("solve fixtures/stripes.system.json --chain 8", 0),
+        ("isomorphic fixtures/example.system.json fixtures/stripes.system.json", 1),
+        ("classify fixtures/example.system.json --depth-cap 20", 0),
+    ],
+)
+def test_command_line_transcript(command, exit_code, monkeypatch, capsys):
+    expected = _transcripts()[command]
+    monkeypatch.chdir(ROOT)
+    assert cli.main(command.split()) == exit_code
+    assert capsys.readouterr().out == expected
+
+
+def test_fixture_files_hold_the_fixtures_module_data():
+    system = fileio.system_to_json(fixtures.example_system())
+    triangle = fileio.triangle_to_json(fixtures.example_triangle())
+    for name, obj in (("example.system.json", system), ("example.triangle.json", triangle)):
+        data = (ROOT / "fixtures" / name).read_bytes()
+        assert data == fileio.dump_pretty(obj).encode("utf-8"), name

@@ -12,7 +12,7 @@ import quadcolor as qc
 
 def small_triangle():
     # staircase for sequence (0, 1, 2): (0,0)=0, (0,1)=1, (1,0)=2
-    return qc.TriangleColoring.from_sequence((0, 1, 2))
+    return qc.TriangleColoring((0, 1, 2))
 
 
 def test_text_render_golden():
@@ -40,7 +40,7 @@ def test_parse_text_triangle_roundtrip(example_triangle):
 @settings(max_examples=40, deadline=None)
 def test_text_roundtrip_property(length, rng):
     seq = tuple(rng.randrange(10) for _ in range(length))
-    tri = qc.TriangleColoring.from_sequence(seq)
+    tri = qc.TriangleColoring(seq)
     back = qc.parse_text_triangle(qc.render_triangle(tri, fmt="text").decode())
     assert back == tri
 

@@ -29,6 +29,12 @@ def test_budget_validation():
         qc.SearchBudget(period_cap=0)
     with pytest.raises(qc.InputError):
         qc.SearchBudget(node_cap=0)
+    # caps are ints: a float node cap would switch the budget off, a float
+    # depth or period cap would break the walks that index by it
+    for bad in ({"node_cap": 5.5}, {"depth_cap": 2.5}, {"period_cap": 2.0},
+                {"depth_cap": True}, {"period_cap": True}, {"node_cap": True}):
+        with pytest.raises(qc.InputError):
+            qc.SearchBudget(**bad)
     assert qc.SearchBudget().depth_cap == 64
     assert qc.SearchBudget().period_cap == 4
 
@@ -79,6 +85,19 @@ def test_extendable_colors_deeper_prefix():
     full = brute_sequences(s, 8)
     expected = {seq[3] for seq in full if seq[:3] == prefix}
     assert qc.extendable_colors(s, prefix, 8) == frozenset(expected)
+
+
+def test_extendable_colors_of_the_empty_prefix():
+    # the empty prefix extends only by the origin color, and does so
+    # exactly when an accepted sequence of length max(horizon, 1) exists
+    for n in (1, 2):
+        for index in range(qc.total_systems(n)):
+            s = qc.system_at(n, index)
+            assert qc.extendable_colors(s, (), 0) == frozenset({s.origin})
+            for horizon in range(1, 7):
+                reached = qc.enumerate_sequences(s, horizon).sequences
+                expected = frozenset({s.origin}) if reached else frozenset()
+                assert qc.extendable_colors(s, (), horizon) == expected, (n, index, horizon)
 
 
 def test_extendable_colors_rejects_bad_prefix():

@@ -26,6 +26,11 @@ def test_from_pairs_collects_all_problems():
         qc.ColoringSystem.from_pairs(2, 5, [(0, 9)], [(3, 0)])
     msg = str(err.value)
     assert "origin" in msg and "(0, 9)" in msg and "(3, 0)" in msg
+    # a pair that is not two colors is listed the same way
+    with pytest.raises(qc.InputError) as err:
+        qc.ColoringSystem.from_pairs(2, 0, [(0, 1, 1), (0, 9)], [5, (1, 0)])
+    msg = str(err.value)
+    assert "(0, 1, 1)" in msg and "(0, 9)" in msg and "pair 5 " in msg
 
 
 def test_successor_masks_match_pairs():
@@ -140,14 +145,14 @@ def test_canonicalize_color_cap():
 
 
 def test_sequence_rows_roundtrip(example_triangle, example_sequence):
-    assert example_triangle.to_sequence() == example_sequence
-    assert qc.TriangleColoring.from_sequence(example_sequence) == example_triangle
+    assert example_triangle.seq == example_sequence
+    assert qc.TriangleColoring(example_sequence) == example_triangle
     rows = example_triangle.rows()
     assert qc.TriangleColoring.from_rows(example_triangle.depth, rows) == example_triangle
 
 
 def test_partial_last_diagonal_rows():
-    tri = qc.TriangleColoring.from_sequence((5, 6, 7, 8))
+    tri = qc.TriangleColoring((5, 6, 7, 8))
     # tiles 0..3 are (0,0), (0,1), (1,0), (0,2)
     assert tri.rows() == [[5, 7], [6], [8]]
     assert tri.max_x() == 1 and tri.max_y() == 2
@@ -156,8 +161,8 @@ def test_partial_last_diagonal_rows():
 @given(st.lists(st.integers(0, 9), min_size=1, max_size=60))
 @settings(max_examples=200)
 def test_triangle_roundtrip_any_length(seq):
-    tri = qc.TriangleColoring.from_sequence(seq)
-    assert tri.to_sequence() == tuple(seq)
+    tri = qc.TriangleColoring(seq)
+    assert tri.seq == tuple(seq)
     assert qc.TriangleColoring.from_rows(tri.depth, tri.rows()) == tri
 
 
@@ -168,7 +173,7 @@ def test_from_rows_rejects_wrong_domains():
     with pytest.raises(qc.InputError):
         qc.TriangleColoring.from_rows(1, [[1], [2], [3]])
     with pytest.raises(qc.InputError):
-        qc.TriangleColoring.from_sequence(())
+        qc.TriangleColoring(())
 
 
 def test_full_triangle_depth():
