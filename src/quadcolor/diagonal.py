@@ -12,9 +12,7 @@ quadrant anti-diagonal by anti-diagonal, starting at the origin::
 so ``tile_index(0, 0) == 0``, ``tile_index(0, 1) == 1``,
 ``tile_index(1, 0) == 2`` and so on.  ``tile_at`` is the exact inverse.
 Everything here is integer arithmetic; no floating point is involved, so
-the maps are exact over the whole supported range.  Below index 2**20 the
-maps read two tables instead, built as far as they are first needed; that
-roughly halves the cost of a ``tile_at`` / ``tile_index`` roundtrip there.
+the maps are exact over the whole supported range.
 """
 
 from __future__ import annotations
@@ -25,17 +23,6 @@ from math import isqrt
 # (the index grows like (x+y)^2 / 2).
 MAX_COORD_SUM = 1 << 31
 MAX_INDEX = (MAX_COORD_SUM * (MAX_COORD_SUM + 1)) // 2 + MAX_COORD_SUM
-
-# The first _TABLE_DIAGONALS anti-diagonals hold every index below 2**20.
-# On them _TRIANGULAR[s] is triangular(s) and _DIAGONAL[k] the anti-diagonal
-# of index k.  _DIAGONAL starts with anti-diagonal 0 and grows on demand, by
-# whole anti-diagonals and at least doubling.  It is rebound to a longer
-# list, never grown in place, so a reader in another thread never sees a
-# half-grown one.  Its entries on one anti-diagonal all refer to the same
-# int, so it costs one pointer per index (8 MiB at full length).
-_TABLE_DIAGONALS = 1448
-_TRIANGULAR = [s * (s + 1) // 2 for s in range(_TABLE_DIAGONALS + 1)]
-_DIAGONAL = [0]
 
 
 def triangular(m: int) -> int:
@@ -50,8 +37,6 @@ def tile_index(x: int, y: int) -> int:
     if x < 0 or y < 0:
         raise ValueError(f"tile coordinates must be non-negative, got ({x}, {y})")
     s = x + y
-    if s < _TABLE_DIAGONALS:
-        return _TRIANGULAR[s] + x
     if s > MAX_COORD_SUM:
         raise ValueError(f"tile ({x}, {y}) outside supported range (x+y <= {MAX_COORD_SUM})")
     return s * (s + 1) // 2 + x
@@ -69,30 +54,12 @@ def diagonal_of(k: int) -> int:
 
 def tile_at(k: int) -> tuple[int, int]:
     """Inverse of tile_index: the tile carrying diagonal index k."""
-    # this is the innermost call of every walk over the quadrant, so the
-    # tabled case is tried first and alone
-    if k >= 0:
-        try:
-            m = _DIAGONAL[k]
-            x = k - _TRIANGULAR[m]
-            return x, m - x
-        except IndexError:
-            pass
-    return _untabled_tile(k)
-
-
-def _untabled_tile(k: int) -> tuple[int, int]:
-    """tile_at for an index _DIAGONAL does not hold: grow the table if k
-    lies on its anti-diagonals, and compute the tile."""
-    global _DIAGONAL
-    m = diagonal_of(k)
-    if m < _TABLE_DIAGONALS:
-        table = _DIAGONAL[:]
-        want = max(k + 1, 2 * len(table))
-        d = table[-1] + 1
-        while len(table) < want and d < _TABLE_DIAGONALS:
-            table += [d] * (d + 1)
-            d += 1
-        _DIAGONAL = table
+    if k < 0:
+        raise ValueError(f"tile index must be non-negative, got {k}")
+    if k > MAX_INDEX:
+        raise ValueError(f"tile index {k} outside supported range [0, {MAX_INDEX}]")
+    # diagonal_of, inlined: this is the innermost call of every walk over
+    # the quadrant
+    m = (isqrt(8 * k + 1) - 1) // 2
     x = k - m * (m + 1) // 2
     return x, m - x

@@ -85,16 +85,3 @@ def test_large_indices_stay_exact():
     for k in (2**52, 2**53 + 1, 2**60, 2**61 - 3):
         x, y = tile_at(k)
         assert tile_index(x, y) == k
-
-
-def test_maps_agree_across_the_table_end():
-    # anti-diagonals 0..1447, the indices below 1449 * 1448 / 2, are read
-    # off tables; past them the maps compute; both must give the same
-    # tiles as plain arithmetic on either side of the seam
-    end = 1449 * 1448 // 2
-    for k in range(end - 3000, end + 3000):
-        x, y = tile_at(k)
-        s = x + y
-        assert s * (s + 1) // 2 + x == k and x >= 0 and y >= 0, k
-        assert diagonal_of(k) == s
-        assert tile_index(x, y) == k
