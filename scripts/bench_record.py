@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Record the benchmark's end-to-end metrics over several seeds.
+
+Runs ``perfbench/run.py --trace 0`` once per workload and seed in each
+checkout given (by default the one this script sits in), for the run
+length BENCHMARK.json sets, and writes one JSON file: every run's metrics
+and output check, the min / median / max of each end-to-end metric per
+checkout and workload, the environment, and the output hashes each
+checkout's benchmark pins.
+
+With two checkouts, say a parent commit and a change, every (workload,
+seed) runs both back to back and the order flips from one seed to the
+next, so the runs form alternated pairs.  Each run takes about half a
+minute, so five seeds over three workloads and two checkouts take about
+15 minutes.
+
+Usage:
+    python3 scripts/bench_record.py --out BENCH.json
+    python3 scripts/bench_record.py PARENT_CHECKOUT . --out BENCH.json --seeds 11 12 13 14 15
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN_TIMEOUT_S = 300  # run.py stops its own children after 170 s
+PIN = re.compile(r'^([A-Z_]+_SHA256) = "([0-9a-f]{64})"$', re.MULTILINE)
+
+
+def _commit(checkout: Path) -> str:
+    out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+    return out.stdout.strip() or "unknown"
+
+
+def _pinned_hashes(checkout: Path) -> dict:
+    """The output hashes the checkout's benchmark checks its runs against."""
+    return dict(PIN.findall((checkout / "perfbench" / "workloads.py").read_text()))
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    cmd = [
+        sys.executable, "perfbench/run.py",
+        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"seed": seed, "error": f"no result within {RUN_TIMEOUT_S} s"}
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return {"seed": seed, "error": f"exit code {proc.returncode}: {proc.stderr.strip()[-300:]}"}
+    result = json.loads(lines[-1])
+    return {
+        "seed": seed,
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def _summary(runs: list, metrics: list) -> dict:
+    done = [run for run in runs if "metrics" in run]
+    out = {}
+    for m in metrics:
+        values = [run["metrics"][m["name"]] for run in done]
+        if values:
+            out[m["name"]] = {
+                "unit": m["unit"],
+                "min": min(values),
+                "median": statistics.median(values),
+                "max": max(values),
+            }
+    return out
+
+
+def main() -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("checkouts", nargs="*", type=Path, default=[ROOT],
+                    help="checkouts to measure, each with its own perfbench/ (default: this one)")
+    ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
+    args = ap.parse_args()
+    seconds = spec["run_seconds"]
+    checkouts = [path.resolve() for path in args.checkouts]
+
+    runs = {(c, w): [] for c in range(len(checkouts)) for w in workloads}
+    for workload in workloads:
+        for i, seed in enumerate(args.seeds):
+            order = list(range(len(checkouts)))
+            if i % 2:
+                order.reverse()
+            for position, c in enumerate(order):
+                run = _run(checkouts[c], workload, seed, seconds)
+                run["position"] = position
+                runs[c, workload].append(run)
+                if "error" in run:
+                    outcome = run["error"]
+                else:
+                    outcome = f"wall_s {run['metrics']['wall_s']:.4g}, correct {run['correct']}"
+                print(f"{workload} seed {seed} checkout {c}: {outcome}", flush=True)
+
+    record = {
+        "recorded_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "command": "perfbench/run.py --trace 0",
+        "seconds": seconds,
+        "seeds": args.seeds,
+        "environment": {
+            "python": platform.python_version(),
+            "implementation": platform.python_implementation(),
+            "platform": platform.platform(),
+            "machine": platform.machine(),
+            "cpus_usable": len(os.sched_getaffinity(0)),
+        },
+        "checkouts": [
+            {
+                "commit": _commit(checkout),
+                "pinned_hashes": _pinned_hashes(checkout),
+                "workloads": {
+                    w: {"summary": _summary(runs[c, w], spec["end_to_end"]), "runs": runs[c, w]}
+                    for w in workloads
+                },
+            }
+            for c, checkout in enumerate(checkouts)
+        ],
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    failed = sum(1 for r in runs.values() for run in r if not run.get("correct"))
+    print(f"wrote {args.out}; {failed} run(s) failed or were incorrect")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -40,6 +40,7 @@ from .systems import (
     InputError,
     Verdict,
     _class_id,
+    _is_int,
     _least_h,
     _permute_mask,
     canonicalize,  # not called here; perfbench/tracing.py wraps census.canonicalize
@@ -54,7 +55,7 @@ def total_systems(n: int) -> int:
 
 def _check_color_count(n: int) -> None:
     # every record carries a canonical id, so the n! canonicalization cap binds
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_CANON_COLORS:
+    if not _is_int(n) or not 1 <= n <= MAX_CANON_COLORS:
         raise InputError(f"census color count must be in [1, {MAX_CANON_COLORS}], got {n!r}")
 
 

@@ -28,6 +28,7 @@ from .systems import (
     TriangleColoring,
     Unknown,
     Verdict,
+    _is_int,
 )
 
 
@@ -54,8 +55,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _as_int(value, what: str) -> int:
-    # bool is an int subclass; a color of "true" is a bug worth catching
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise FileFormatError(f"{what} must be an integer, got {value!r}")
     return value
 

@@ -25,7 +25,8 @@ them together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from functools import lru_cache
+from typing import Iterator, Optional, Sequence, Union
 
 from .checker import check_sequence
 from .diagonal import tile_at
@@ -37,20 +38,13 @@ from .systems import (
     PeriodicWitness,
     Unknown,
     Verdict,
+    _is_int,
 )
-
-
-class BudgetExhausted(Exception):
-    """Raised when the periodic-witness search runs out of its node budget."""
-
-    def __init__(self, nodes: int):
-        super().__init__(f"search node budget exhausted after {nodes} nodes")
-        self.nodes = nodes
 
 
 def _is_count(value) -> bool:
     """An int >= 1; bools are not counts."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    return _is_int(value) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -364,16 +358,19 @@ def build_chain(
     return found[0]
 
 
-def _row_graph(sys: ColoringSystem, p: int) -> tuple[list, list, int]:
-    """The width-p row graph, as (rows, succ, starts).
+@lru_cache(maxsize=16)
+def _wrap_rows(n: int, h_mask: int, p: int) -> tuple[tuple, tuple]:
+    """The H half of the width-p row graph, as (rows, with_color).
 
     rows: every length-p row legal on a width-p cylinder (consecutive pairs
     and the wrap pair (row[-1], row[0]) in H), lexicographically sorted.
-    succ[i]: the bitset of row indices j such that rows[j] may sit on top
-    of rows[i], i.e. every column pair (rows[i][x], rows[j][x]) is in V.
-    starts: the bitset of the rows whose first cell has the origin color.
+    with_color[x][c]: the bitset of the rows with color c at position x.
+
+    Cached by H: a census classifies a run of systems that share one
+    canonical H, each at every width up to the period cap.  Both parts are
+    tuples, because every caller with this H gets the same objects.
     """
-    n = sys.n
+    sys = ColoringSystem(n, 0, h_mask, 0)
     h_next = [sys.h_successors(c) for c in range(n)]
     rows = []
     for first in range(n):
@@ -391,17 +388,30 @@ def _row_graph(sys: ColoringSystem, p: int) -> tuple[list, list, int]:
         for row in partial:
             if sys.h_allows(row[-1], row[0]):
                 rows.append(row)
-    # with_color[x][c]: the rows with color c at position x
     with_color = [[0] * n for _ in range(p)]
     for j, row in enumerate(rows):
         for x, c in enumerate(row):
             with_color[x][c] |= 1 << j
+    return tuple(rows), tuple(map(tuple, with_color))
+
+
+def _row_graph(sys: ColoringSystem, p: int) -> tuple[tuple, list, int]:
+    """The width-p row graph, as (rows, succ, starts).
+
+    rows: the wrap-legal rows of _wrap_rows.
+    succ[i]: the bitset of row indices j such that rows[j] may sit on top
+    of rows[i], i.e. every column pair (rows[i][x], rows[j][x]) is in V.
+    starts: the bitset of the rows whose first cell has the origin color.
+    """
+    n = sys.n
+    rows, with_color = _wrap_rows(n, sys.h_mask, p)
+    v_next = [sys.v_successors(c) for c in range(n)]
     # above[x][c]: the rows whose color at position x may sit on top of c
     above = []
     for x in range(p):
         masks = []
         for c in range(n):
-            allowed = sys.v_successors(c)
+            allowed = v_next[c]
             acc = 0
             while allowed:
                 low = allowed & -allowed
@@ -423,8 +433,8 @@ def find_periodic_witness(
 ) -> Optional[PeriodicWitness]:
     """Search torus colorings over all periods up to the cap, smallest area
     first (ties by p, then q).  Cell (0, 0) is pinned to the origin color.
-    Returns the first witness found, or None; raises BudgetExhausted when
-    the node cap runs out first (each row placed costs p nodes).
+    Returns the first witness found, or None when there is none or when the
+    node cap runs out first (each row placed costs p nodes).
 
     Rows are the search unit: a p x q torus coloring is a closed walk of
     length q in the row graph, whose nodes are the horizontally wrap-legal
@@ -435,8 +445,7 @@ def find_periodic_witness(
     the first witness is the lexicographically least one, but failed
     branches die a whole row at a time.
     """
-    node_cap = budget.node_cap
-    nodes_left = node_cap
+    nodes_left = budget.node_cap
     graphs: dict = {}
     periods = sorted(
         (p * q, p, q)
@@ -463,7 +472,7 @@ def find_periodic_witness(
             stack[-1] = cand ^ low
             if nodes_left is not None:
                 if nodes_left < p:
-                    raise BudgetExhausted(node_cap - nodes_left)
+                    return None
                 nodes_left -= p
             j = low.bit_length() - 1
             if len(walk) + 1 < q:
@@ -475,32 +484,101 @@ def find_periodic_witness(
     return None
 
 
+def _walkers(succ: Sequence[int], nodes: int) -> int:
+    """The largest subset of ``nodes`` in which every member has a
+    successor inside the subset, as a bitmask: the nodes that start an
+    infinite walk within ``nodes``.  succ[c] is node c's successor mask.
+    Found by iterated sink removal: drop every node with no successor left
+    in the subset, until a round drops none."""
+    while True:
+        kept = 0
+        rest = nodes
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if succ[low.bit_length() - 1] & nodes:
+                kept |= low
+        if kept == nodes:
+            return nodes
+        nodes = kept
+
+
+def _shadows(sys: ColoringSystem) -> Iterator[bool]:
+    """Whether the quadrant has a coloring g(x, y) = f(t) that is constant
+    along a direction, for t = x, y, x + y and x - y in turn.
+
+    f is a walk over the colors with f(0) the origin color, and g colors
+    the quadrant exactly when every step (f(t), f(t + 1)) is an edge of
+    that shadow's graph and the walk goes on forever:
+      t = x:     c -> e iff (c, e) in H, over the colors with a V self-loop;
+      t = y:     the same with H and V swapped;
+      t = x + y: c -> e iff (c, e) in H and in V;
+      t = x - y: c -> e iff (c, e) in H and (e, c) in V, since the tile
+                 above (x, y) carries f(t - 1).  t runs over all of Z here,
+                 so the origin needs an infinite walk backward as well.
+    Each answer is a test on an n-node graph, with no search.
+    """
+    n = sys.n
+    o = sys.origin
+    h = [sys.h_successors(c) for c in range(n)]
+    v = [sys.v_successors(c) for c in range(n)]
+    if not (h[o] and v[o]):
+        # every kind steps from the origin by H, and to or from it by V
+        yield from (False, False, False, False)
+        return
+    full = (1 << n) - 1
+    v_loops = h_loops = 0
+    for c in range(n):
+        if v[c] >> c & 1:
+            v_loops |= 1 << c
+        if h[c] >> c & 1:
+            h_loops |= 1 << c
+    yield bool(_walkers(h, v_loops) >> o & 1)
+    yield bool(_walkers(v, h_loops) >> o & 1)
+    yield bool(_walkers([hc & vc for hc, vc in zip(h, v)], full) >> o & 1)
+    step = [0] * n
+    back = [0] * n
+    for c in range(n):
+        for e in range(n):
+            if h[c] >> e & 1 and v[e] >> c & 1:
+                step[c] |= 1 << e
+                back[e] |= 1 << c
+    yield bool((_walkers(step, full) & _walkers(back, full)) >> o & 1)
+
+
 def classify(sys: ColoringSystem, budget: SearchBudget) -> Verdict:
-    """Full verdict for one system, in three steps.
+    """Full verdict for one system, in four steps.
 
     1. An origin color with an H and a V self-loop colors the quadrant
        constantly, and the 1x1 torus is returned without search.
-    2. The sequence tree is exhausted: ExactMax proves the system Bounded.
-    3. Only when exhaustion reached the depth cap, or ran out of nodes, is
-       a torus witness searched for.
+    2. Without a node cap, a 1-D shadow (_shadows) proves that the
+       quadrant has a coloring.  Its first depth_cap tiles are then an
+       accepted sequence, so exhaustion would return ReachedCap(depth_cap)
+       and is skipped.
+    3. Otherwise the sequence tree is exhausted: ExactMax proves the system
+       Bounded.
+    4. Only when the tree reached the depth cap, or ran out of nodes, is a
+       torus witness searched for.
 
     No order of these steps changes a verdict.  A witness colors the whole
     quadrant, so it cannot coexist with an exhausted tree, and the two
-    searches spend separate node budgets.  So steps 2 and 3 give the same
+    searches spend separate node budgets.  So steps 3 and 4 give the same
     verdict as trying witnesses first, and for a system that step 1 settles
     they return its 1x1 torus: it is the first period find_periodic_witness
-    tries, at a cost of one node, and node_cap is always >= 1.
+    tries, at a cost of one node, and node_cap is always >= 1.  Step 2 is
+    kept off budgeted searches, because a capped exhaustion can return
+    Indeterminate, whose max_seen the Unknown verdict records.
     """
     o = sys.origin
     if sys.h_allows(o, o) and sys.v_allows(o, o):
         return HasColoring(PeriodicWitness(p=1, q=1, rows=((o,),)))
-    result = max_accept_length(sys, budget)
-    if isinstance(result, ExactMax):
-        return Bounded(result.length)
-    try:
-        witness = find_periodic_witness(sys, budget)
-    except BudgetExhausted:
-        witness = None
+    if budget.node_cap is None and any(_shadows(sys)):
+        result = ReachedCap(budget.depth_cap)
+    else:
+        result = max_accept_length(sys, budget)
+        if isinstance(result, ExactMax):
+            return Bounded(result.length)
+    witness = find_periodic_witness(sys, budget)
     if witness is not None:
         return HasColoring(witness)
     depth = result.depth if isinstance(result, ReachedCap) else result.max_seen

@@ -33,12 +33,22 @@ def _pair_bit(n: int, first: int, second: int) -> int:
     return 1 << (first * n + second)
 
 
+def _int_type(t: type) -> bool:
+    """Whether t is int or an int subclass other than bool: True is no
+    color, count or cap, and the file formats reject it."""
+    return issubclass(t, int) and not issubclass(t, bool)
+
+
+def _is_int(value) -> bool:
+    return _int_type(type(value))
+
+
 def _origin_problems(n: int, origin: int) -> list[str]:
     """Raise InputError on a bad color count; otherwise list what is wrong
     with the origin (nothing, or one problem)."""
-    if not isinstance(n, int) or n < 1 or n > MAX_COLORS:
+    if not _is_int(n) or n < 1 or n > MAX_COLORS:
         raise InputError(f"color count {n!r} out of range [1, {MAX_COLORS}]")
-    if not isinstance(origin, int) or not 0 <= origin < n:
+    if not _is_int(origin) or not 0 <= origin < n:
         return [f"origin color {origin!r} out of range [0, {n})"]
     return []
 
@@ -82,7 +92,7 @@ class ColoringSystem:
                 except (TypeError, ValueError):
                     problems.append(f"{label} pair {pair!r} is not two colors")
                     continue
-                if not (isinstance(c, int) and isinstance(d, int) and 0 <= c < n and 0 <= d < n):
+                if not (_is_int(c) and _is_int(d) and 0 <= c < n and 0 <= d < n):
                     problems.append(f"{label} pair {pair!r} out of range [0, {n})^2")
                 elif label == "horizontal":
                     h_mask |= _pair_bit(n, c, d)
@@ -219,9 +229,15 @@ class TriangleColoring:
     seq: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "seq", tuple(self.seq))
-        if not self.seq:
+        seq = tuple(self.seq)
+        object.__setattr__(self, "seq", seq)
+        if not seq:
             raise InputError("a coloring sequence must have at least one element")
+        # one test per element type, not per element: every witness check
+        # builds one of these
+        if not all(map(_int_type, set(map(type, seq)))):
+            bad = next(c for c in seq if not _is_int(c))
+            raise InputError(f"coloring element {bad!r} is not an integer color")
 
     @classmethod
     def from_rows(cls, depth: int, rows: list[list[int]]) -> "TriangleColoring":

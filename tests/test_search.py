@@ -3,6 +3,7 @@ profiles, extendability, chains, witnesses, classification soundness."""
 
 import hashlib
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -256,10 +257,7 @@ def test_classify_with_starved_node_budget_still_sound():
 
 def _witness_first(s, budget):
     """classify composed the other way round: torus witness, then exhaustion."""
-    try:
-        witness = qc.find_periodic_witness(s, budget)
-    except qc.BudgetExhausted:
-        witness = None
+    witness = qc.find_periodic_witness(s, budget)
     if witness is not None:
         return qc.HasColoring(witness)
     result = qc.max_accept_length(s, budget)
@@ -315,6 +313,99 @@ def test_constant_coloring_is_settled_without_search(monkeypatch, node_cap):
     monkeypatch.setattr(search, "max_accept_length", counting)
     assert [qc.classify(s, budget) for s in systems] == expected
     assert calls == []
+
+
+def test_a_shadow_means_exhaustion_reaches_the_cap():
+    # a 1-D shadow colors the quadrant, so unbudgeted exhaustion reaches
+    # the cap on every system that has one; read the other way, no system
+    # that exhaustion proves bounded has a shadow
+    budget = qc.SearchBudget()
+    rng = random.Random(13)
+    systems = [qc.system_at(2, index) for index in range(512)]
+    systems += [qc.system_at(3, rng.randrange(qc.total_systems(3))) for _ in range(2000)]
+    shadowed = bounded = 0
+    for s in systems:
+        result = qc.max_accept_length(s, budget)
+        if any(search._shadows(s)):
+            shadowed += 1
+            assert result == qc.ReachedCap(budget.depth_cap), s
+        elif isinstance(result, qc.ExactMax):
+            bounded += 1
+    assert shadowed > 500 and bounded > 500
+
+
+# one system per shadow kind that no other kind settles
+SHADOW_SYSTEMS = {
+    "x": (qc.ColoringSystem.from_pairs(2, 0, [(0, 1), (1, 0)], [(0, 0), (1, 1)]),
+          [True, False, False, False]),
+    "y": (qc.ColoringSystem.from_pairs(2, 0, [(0, 0), (1, 1)], [(0, 1), (1, 0)]),
+          [False, True, False, False]),
+    "x+y": (qc.ColoringSystem.from_pairs(3, 0, [(0, 1), (1, 2), (2, 0)], [(0, 1), (1, 2), (2, 0)]),
+            [False, False, True, False]),
+    # the shear class: its only coloring is 2, 0 or 1 by the sign of x - y
+    "x-y": (qc.ColoringSystem(3, 0, 0x11C, 0x152), [False, False, False, True]),
+}
+
+
+@pytest.mark.parametrize("kind", list(SHADOW_SYSTEMS))
+def test_each_shadow_kind_settles_its_own_system(kind):
+    s, kinds = SHADOW_SYSTEMS[kind]
+    assert list(search._shadows(s)) == kinds
+    assert qc.max_accept_length(s, qc.SearchBudget()) == qc.ReachedCap(64)
+
+
+def test_the_shear_class_stays_unknown():
+    s = SHADOW_SYSTEMS["x-y"][0]
+    assert qc.canonical_id(s) == "3.0.11c.152"
+    assert qc.classify(s, qc.SearchBudget()) == qc.Unknown(depth_reached=64, period_cap_reached=4)
+
+
+@pytest.mark.parametrize("node_cap", [None, 6])
+def test_a_shadow_skips_exhaustion_only_without_a_node_cap(monkeypatch, node_cap):
+    # without a node cap a shadow stands in for a dive to the cap; with
+    # one, exhaustion still runs, because Unknown records its max_seen
+    budget = qc.SearchBudget(depth_cap=12, period_cap=3, node_cap=node_cap)
+    systems = [
+        s for s in map(qc.system_at, [2] * 512, range(512))
+        if any(search._shadows(s)) and not (s.h_allows(s.origin, s.origin) and s.v_allows(s.origin, s.origin))
+    ]
+    assert systems
+    expected = [_witness_first(s, budget) for s in systems]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return qc.max_accept_length(*args, **kwargs)
+
+    monkeypatch.setattr(search, "max_accept_length", counting)
+    assert [qc.classify(s, budget) for s in systems] == expected
+    assert len(calls) == (0 if node_cap is None else len(systems))
+
+
+def _row_graph_from_scratch(s, p):
+    rows = [row for row in product(range(s.n), repeat=p)
+            if all(s.h_allows(row[x], row[(x + 1) % p]) for x in range(p))]
+    succ = [
+        sum(1 << j for j, top in enumerate(rows) if all(map(s.v_allows, row, top)))
+        for row in rows
+    ]
+    starts = sum(1 << j for j, row in enumerate(rows) if row[0] == s.origin)
+    return tuple(rows), succ, starts
+
+
+def test_row_graph_matches_a_build_from_scratch():
+    # the H half of the row graph is cached by (n, H, p): every H at n <= 3
+    # and width <= 4 gives the graph built from scratch, and a second call
+    # on the same cached H gives the second V's successors
+    rng = random.Random(19)
+    for n in (2, 3):
+        for h_mask in range(1 << n * n):
+            for p in range(1, 5):
+                for _ in range(2):
+                    s = qc.ColoringSystem(n, rng.randrange(n), h_mask, rng.randrange(1 << n * n))
+                    hits = search._wrap_rows.cache_info().hits
+                    assert search._row_graph(s, p) == _row_graph_from_scratch(s, p), (s, p)
+                assert search._wrap_rows.cache_info().hits > hits
 
 
 def test_classify_example_is_unknown_at_default_caps(example_system):

@@ -33,6 +33,24 @@ def test_from_pairs_collects_all_problems():
     assert "(0, 1, 1)" in msg and "(0, 9)" in msg and "pair 5 " in msg
 
 
+def test_bools_are_not_colors():
+    # bool is an int subclass, but a system with origin True would be
+    # written as "origin": true, which its own file format rejects
+    with pytest.raises(qc.InputError):
+        qc.ColoringSystem.from_pairs(2, True, [(0, 1)], [])
+    with pytest.raises(qc.InputError) as err:
+        qc.ColoringSystem.from_pairs(2, 0, [(0, True)], [(False, 1), (1, 1)])
+    assert str(err.value) == (
+        "horizontal pair (0, True) out of range [0, 2)^2; "
+        "vertical pair (False, 1) out of range [0, 2)^2"
+    )
+    with pytest.raises(qc.InputError) as err:
+        qc.TriangleColoring((0, 1, True, 1))
+    assert str(err.value) == "coloring element True is not an integer color"
+    with pytest.raises(qc.InputError):
+        qc.TriangleColoring((0, "1"))
+
+
 def test_successor_masks_match_pairs():
     s = qc.ColoringSystem.from_pairs(3, 1, [(0, 2), (2, 1), (2, 2)], [(1, 0)])
     assert s.h_successors(0) == 0b100
@@ -54,10 +72,12 @@ def test_validate_catches_stray_mask_bits():
         ({"n": 65}, "color count 65 out of range [1, 64]"),
         ({"origin": -1}, "origin color -1 out of range [0, 3)"),
         ({"origin": 3}, "origin color 3 out of range [0, 3)"),
+        ({"origin": True}, "origin color True out of range [0, 3)"),
+        ({"n": True}, "color count True out of range [1, 64]"),
         ({"h_mask": -1}, "horizontal mask -1 has bits outside the 3x3 pair grid"),
         ({"v_mask": 1 << 9}, "vertical mask 512 has bits outside the 3x3 pair grid"),
     ],
-    ids=["n=0", "n=65", "origin=-1", "origin=n", "negative-mask", "stray-bit"],
+    ids=["n=0", "n=65", "origin=-1", "origin=n", "origin=True", "n=True", "negative-mask", "stray-bit"],
 )
 def test_invalid_system_raises_at_construction(fields, message):
     valid = qc.ColoringSystem(n=3, origin=1, h_mask=0b101, v_mask=0b110)
