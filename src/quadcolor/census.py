@@ -62,7 +62,7 @@ def _check_color_count(n: int) -> None:
 def system_at(n: int, index: int) -> ColoringSystem:
     """The index-th system: index = (origin * 2^(n^2) + h_mask) * 2^(n^2) + v_mask."""
     total = total_systems(n)
-    if not isinstance(index, int) or not 0 <= index < total:
+    if not _is_int(index) or not 0 <= index < total:
         raise InputError(f"system index {index!r} out of range [0, {total})")
     relation_bits = n * n
     rest, v_mask = divmod(index, 1 << relation_bits)
@@ -400,7 +400,7 @@ def run_census(
     its position and truncates any torn tail.
     """
     _check_color_count(n)
-    if not isinstance(jobs, int) or jobs < 1:
+    if not _is_int(jobs) or jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs!r}")
     if stop_after is not None and stop_after < 0:
         raise InputError(f"stop_after must be >= 0, got {stop_after!r}")

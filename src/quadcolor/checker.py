@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .diagonal import tile_at
-from .systems import ColoringSystem, InputError, PeriodicWitness, TriangleColoring
+from .systems import ColoringSystem, InputError, PeriodicWitness, TriangleColoring, _is_int
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,10 @@ class Violation:
         )
 
 
-def _check_elements(sys: ColoringSystem, elems: Sequence[int], what: str) -> None:
+def _check_elements(sys: ColoringSystem, elems: Sequence[int]) -> None:
     for k, c in enumerate(elems):
-        if not isinstance(c, int) or not 0 <= c < sys.n:
-            raise InputError(f"{what} element {c!r} at diagonal index {k} out of range [0, {sys.n})")
+        if not _is_int(c) or not 0 <= c < sys.n:
+            raise InputError(f"sequence element {c!r} at diagonal index {k} out of range [0, {sys.n})")
 
 
 def check_sequence(sys: ColoringSystem, seq: Sequence[int]) -> Optional[Violation]:
@@ -62,7 +62,11 @@ def check_sequence(sys: ColoringSystem, seq: Sequence[int]) -> Optional[Violatio
     """
     if len(seq) == 0:
         raise InputError("the empty sequence is not a candidate coloring")
-    _check_elements(sys, seq, "sequence")
+    _check_elements(sys, seq)
+    return _first_violation(sys, seq)
+
+
+def _first_violation(sys: ColoringSystem, seq: Sequence[int]) -> Optional[Violation]:
     if seq[0] != sys.origin:
         return Violation("origin", 0, (0, 0), None, (seq[0],))
     for k in range(1, len(seq)):
@@ -82,9 +86,13 @@ def check_sequence(sys: ColoringSystem, seq: Sequence[int]) -> Optional[Violatio
 
 def check_triangle(sys: ColoringSystem, tri: TriangleColoring) -> Optional[Violation]:
     """check_sequence on the triangle's diagonal-order sequence, which is
-    what a TriangleColoring stores; its domain is a staircase by
-    construction."""
-    return check_sequence(sys, tri.seq)
+    what a TriangleColoring stores.  Its domain is a staircase and its
+    colors are ints by construction, so only their range is left to
+    check, and min and max do that without a pass per tile."""
+    seq = tri.seq
+    if min(seq) < 0 or max(seq) >= sys.n:
+        _check_elements(sys, seq)
+    return _first_violation(sys, seq)
 
 
 def check_witness(sys: ColoringSystem, w: PeriodicWitness) -> Optional[Violation]:

@@ -20,6 +20,14 @@ tests compare against brute-force filtration) but lets bounded systems die
 fast.  The length profile does not walk the tree: it sweeps frontier words
 level by level, merging prefixes that end in the same word and counting
 them together.
+
+classify decides a system in four steps, cheapest first: an origin color
+with both self-loops, a 1-D shadow (a coloring constant along x, y, x + y
+or x - y, read off four n-node graphs with no search), exhaustion of the
+sequence tree, and a torus search over row graphs.  A shadow colors the
+quadrant, so where no node cap is set it stands in for the dive to the
+depth cap that exhaustion would make.  The torus search's row graphs keep
+their H half, which many systems of a census share, in a small cache.
 """
 
 from __future__ import annotations

@@ -50,6 +50,8 @@ def test_system_index_roundtrip():
         qc.system_at(2, 512)
     with pytest.raises(qc.InputError):
         qc.system_at(2, -1)
+    with pytest.raises(qc.InputError):
+        qc.system_at(2, True)
 
 
 def test_enumeration_order_is_origin_then_h_then_v():
@@ -485,5 +487,7 @@ def test_resume_rejects_missing_or_unreadable_cursor(tmp_path, damage):
 def test_run_census_validates_knobs(tmp_path):
     with pytest.raises(qc.InputError):
         qc.run_census(2, CAPS, jobs=0)
+    with pytest.raises(qc.InputError):
+        qc.run_census(2, CAPS, jobs=True)
     with pytest.raises(qc.InputError):
         qc.run_census(2, CAPS, resume=True)  # nothing to resume from

@@ -45,6 +45,17 @@ def test_out_of_range_color_is_input_error_not_rejection():
         qc.check_sequence(CHECKER_SYSTEM, (0, 2))
     with pytest.raises(qc.InputError):
         qc.check_sequence(CHECKER_SYSTEM, ())
+    # bool is an int subclass, but True is no color
+    with pytest.raises(qc.InputError):
+        qc.check_sequence(CHECKER_SYSTEM, (0, True))
+    # a triangle's colors are ints already; their range is checked as a
+    # sequence's is, with the same message
+    for seq in ((0, 1, 2), (0, -1, 1)):
+        with pytest.raises(qc.InputError) as by_sequence:
+            qc.check_sequence(CHECKER_SYSTEM, seq)
+        with pytest.raises(qc.InputError) as by_triangle:
+            qc.check_triangle(CHECKER_SYSTEM, qc.TriangleColoring(seq))
+        assert str(by_triangle.value) == str(by_sequence.value)
 
 
 def test_example_triangle_accepted(example_system, example_triangle, example_sequence):
