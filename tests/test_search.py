@@ -365,10 +365,12 @@ def test_a_shadow_skips_exhaustion_only_without_a_node_cap(monkeypatch, node_cap
     # without a node cap a shadow stands in for a dive to the cap; with
     # one, exhaustion still runs, because Unknown records its max_seen
     budget = qc.SearchBudget(depth_cap=12, period_cap=3, node_cap=node_cap)
-    systems = [
-        s for s in map(qc.system_at, [2] * 512, range(512))
-        if any(search._shadows(s)) and not (s.h_allows(s.origin, s.origin) and s.v_allows(s.origin, s.origin))
-    ]
+    systems = []
+    for index in range(512):
+        s = qc.system_at(2, index)
+        o = s.origin
+        if any(search._shadows(s)) and not (s.h_allows(o, o) and s.v_allows(o, o)):
+            systems.append(s)
     assert systems
     expected = [_witness_first(s, budget) for s in systems]
     calls = []
@@ -382,7 +384,7 @@ def test_a_shadow_skips_exhaustion_only_without_a_node_cap(monkeypatch, node_cap
     assert len(calls) == (0 if node_cap is None else len(systems))
 
 
-def _row_graph_from_scratch(s, p):
+def _row_graph_by_brute_force(s, p):
     rows = [row for row in product(range(s.n), repeat=p)
             if all(s.h_allows(row[x], row[(x + 1) % p]) for x in range(p))]
     succ = [
@@ -393,9 +395,9 @@ def _row_graph_from_scratch(s, p):
     return tuple(rows), succ, starts
 
 
-def test_row_graph_matches_a_build_from_scratch():
+def test_row_graph_matches_a_brute_force_build():
     # the H half of the row graph is cached by (n, H, p): every H at n <= 3
-    # and width <= 4 gives the graph built from scratch, and a second call
+    # and width <= 4 gives the graph built by brute force, and a second call
     # on the same cached H gives the second V's successors
     rng = random.Random(19)
     for n in (2, 3):
@@ -404,7 +406,7 @@ def test_row_graph_matches_a_build_from_scratch():
                 for _ in range(2):
                     s = qc.ColoringSystem(n, rng.randrange(n), h_mask, rng.randrange(1 << n * n))
                     hits = search._wrap_rows.cache_info().hits
-                    assert search._row_graph(s, p) == _row_graph_from_scratch(s, p), (s, p)
+                    assert search._row_graph(s, p) == _row_graph_by_brute_force(s, p), (s, p)
                 assert search._wrap_rows.cache_info().hits > hits
 
 
