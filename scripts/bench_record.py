@@ -3,10 +3,10 @@
 
 Runs ``perfbench/run.py --trace 0`` once per workload and seed in each
 checkout given (by default the one this script sits in), for the run
-length BENCHMARK.json sets, and writes one JSON file: every run's metrics
-and output check, the min / median / max of each end-to-end metric per
-checkout and workload, the environment, and the output hashes each
-checkout's benchmark pins.
+length BENCHMARK.json sets, and writes one JSON file: every run's metrics,
+output check and repetition count, the min / median / max of each
+end-to-end metric per checkout and workload, the environment, and the
+output hashes each checkout's benchmark pins.
 
 With two checkouts, say a parent commit and a change, every (workload,
 seed) runs both back to back and the order flips from one seed to the
@@ -60,11 +60,15 @@ def _run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     if proc.returncode != 0 or not lines:
         return {"seed": seed, "error": f"exit code {proc.returncode}: {proc.stderr.strip()[-300:]}"}
     result = json.loads(lines[-1])
+    info = json.loads(lines[-2])
     return {
         "seed": seed,
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
+        # a faster run fits more repetitions into its run length, and the
+        # audit's peak RSS grows with them, not with the code
+        "reps": len(info["rep_walls"]),
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
 

@@ -23,6 +23,7 @@ from .systems import (
     HasColoring,
     TriangleColoring,
     Unknown,
+    _is_int,
     canonical_form,
     is_isomorphic,
 )
@@ -125,8 +126,7 @@ def _load_palette(path: str) -> Palette:
             or not isinstance(entry["name"], str)
             or not isinstance(entry["rgb"], list)
             or len(entry["rgb"]) != 3
-            or any(isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= 255
-                   for v in entry["rgb"])
+            or any(not _is_int(v) or not 0 <= v <= 255 for v in entry["rgb"])
         ):
             raise fileio.FileFormatError(
                 f'{path}: palette entry {i} must look like {{"name": ..., "rgb": [r, g, b]}}'

@@ -13,6 +13,11 @@ so ``tile_index(0, 0) == 0``, ``tile_index(0, 1) == 1``,
 ``tile_index(1, 0) == 2`` and so on.  ``tile_at`` is the exact inverse.
 Everything here is integer arithmetic; no floating point is involved, so
 the maps are exact over the whole supported range.
+
+``_geometry`` is the package's one tile table: the column and anti-diagonal
+of each index, read off ``tile_at`` once and shared by the searches, the
+triangle rows and witness unrolling.  The checker decodes with ``tile_at``
+alone, so it shares no table with what it judges.
 """
 
 from __future__ import annotations
@@ -63,3 +68,21 @@ def tile_at(k: int) -> tuple[int, int]:
     m = (isqrt(8 * k + 1) - 1) // 2
     x = k - m * (m + 1) // 2
     return x, m - x
+
+
+# _GEOMETRY[0][k], _GEOMETRY[1][k]: column and anti-diagonal of tile index k,
+# shared by every walk over the tiles and read off tile_at.  It grows by
+# rebinding a longer table, never in place, so a search in another thread
+# never sees a half-grown one.
+_GEOMETRY: tuple[list, list] = ([0], [0])
+
+
+def _geometry(upto: int) -> tuple[list, list]:
+    """The shared (columns, anti-diagonals) table, at least upto long."""
+    global _GEOMETRY
+    xs, ss = _GEOMETRY
+    if len(xs) < upto:
+        tiles = [tile_at(k) for k in range(max(upto, 2 * len(xs)))]
+        xs, ss = [x for x, _ in tiles], [x + y for x, y in tiles]
+        _GEOMETRY = (xs, ss)
+    return xs, ss

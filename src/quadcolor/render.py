@@ -111,14 +111,15 @@ def parse_text_triangle(text: str) -> TriangleColoring:
 
 def _render_svg(tri: TriangleColoring, palette: Palette, scale: int) -> bytes:
     side = 10 * scale
-    width = (tri.max_x() + 1) * side
-    height = (tri.max_y() + 1) * side
-    max_y = tri.max_y()
+    rows = tri.rows()
+    width = len(rows[0]) * side
+    height = len(rows) * side
+    max_y = len(rows) - 1
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
-    for y, row in enumerate(tri.rows()):
+    for y, row in enumerate(rows):
         for x, color in enumerate(row):
             r, g, b = palette.rgb(color)
             parts.append(
@@ -130,11 +131,12 @@ def _render_svg(tri: TriangleColoring, palette: Palette, scale: int) -> bytes:
 
 
 def _render_ppm(tri: TriangleColoring, palette: Palette, scale: int) -> bytes:
-    width = (tri.max_x() + 1) * scale
-    height = (tri.max_y() + 1) * scale
+    rows = tri.rows()
+    width = len(rows[0]) * scale
+    height = len(rows) * scale
     background = "%d %d %d" % _BACKGROUND
     lines = ["P3", f"{width} {height}", "255"]
-    for row in reversed(tri.rows()):
+    for row in reversed(rows):
         pixels = ["%d %d %d" % palette.rgb(color) for color in row for _ in range(scale)]
         pixels += [background] * (width - len(pixels))
         lines += ["  ".join(pixels)] * scale

@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
 from .checker import check_sequence
-from .diagonal import tile_at
+from .diagonal import _geometry
 from .systems import (
     Bounded,
     ColoringSystem,
@@ -109,24 +109,6 @@ class LengthProfile:
     """counts[L] = number of acceptable sequences of length L+1."""
 
     counts: tuple[int, ...]
-
-
-# _GEOMETRY[0][k], _GEOMETRY[1][k]: column and anti-diagonal of tile index k,
-# shared by every search and read off diagonal.tile_at.  It grows by
-# rebinding a longer table, never in place, so a search in another thread
-# never sees a half-grown one.
-_GEOMETRY: tuple[list, list] = ([0], [0])
-
-
-def _geometry(upto: int) -> tuple[list, list]:
-    """The shared (columns, anti-diagonals) table, at least upto long."""
-    global _GEOMETRY
-    xs, ss = _GEOMETRY
-    if len(xs) < upto:
-        tiles = [tile_at(k) for k in range(max(upto, 2 * len(xs)))]
-        xs, ss = [x for x, _ in tiles], [x + y for x, y in tiles]
-        _GEOMETRY = (xs, ss)
-    return xs, ss
 
 
 def _leaves(
@@ -257,8 +239,8 @@ def max_accept_length(
 def enumerate_sequences(sys: ColoringSystem, length: int) -> Enumeration:
     """All acceptable sequences of exactly ``length``, in lexicographic
     color order."""
-    if length < 1:
-        raise InputError(f"sequence length must be >= 1, got {length}")
+    if not _is_count(length):
+        raise InputError(f"sequence length must be an int >= 1, got {length!r}")
     return Enumeration(sequences=tuple(_leaves(sys, length, (), None)[0]))
 
 
@@ -286,8 +268,9 @@ def length_profile(
     nodes_left = budget.node_cap
     counts = [0] * budget.depth_cap
     frontier = {(): 1}
+    xs, ss = _geometry(budget.depth_cap)
     for k in range(budget.depth_cap):
-        x, y = tile_at(k)
+        x = xs[k]
         grown: dict = {}
         for word, mult in frontier.items():
             if nodes_left is not None:
@@ -297,7 +280,7 @@ def length_profile(
             cand = full if k else 1 << sys.origin
             if x:
                 cand &= h_next[word[0]]
-            if y:
+            if x < ss[k]:  # y > 0
                 cand &= v_next[word[1] if x else word[0]]
             kept = word[1:] if x else word
             while cand:
@@ -327,6 +310,8 @@ def extendable_colors(
     violation = check_sequence(sys, prefix) if prefix else None
     if violation is not None:
         raise InputError(f"prefix is not accepted: {violation.message()}")
+    if not _is_int(horizon):
+        raise InputError(f"horizon must be an int, got {horizon!r}")
     if horizon < len(prefix):
         raise InputError(f"horizon {horizon} shorter than the prefix ({len(prefix)})")
     target = max(horizon, len(prefix) + 1)
@@ -355,8 +340,8 @@ def build_chain(
     Returns Unreachable when no acceptable sequence of that length exists,
     Indeterminate when the node budget runs out first.
     """
-    if horizon < 1:
-        raise InputError(f"horizon must be >= 1, got {horizon}")
+    if not _is_count(horizon):
+        raise InputError(f"horizon must be an int >= 1, got {horizon!r}")
     node_cap = budget.node_cap if budget is not None else None
     found, longest = _leaves(sys, horizon, (sys.origin,), 1, node_cap=node_cap)
     if found is None:

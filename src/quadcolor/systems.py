@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Union
 
-from .diagonal import tile_at, triangular
+from .diagonal import _geometry, triangular
 
 MAX_COLORS = 64       # relation masks stay desk-sized
 MAX_CANON_COLORS = 8  # canonicalization sweeps all n! bijections
@@ -67,7 +67,7 @@ class ColoringSystem:
         problems = _origin_problems(n, self.origin)
         limit = 1 << (n * n)
         for label, mask in (("horizontal", self.h_mask), ("vertical", self.v_mask)):
-            if not isinstance(mask, int) or mask < 0 or mask >= limit:
+            if not _is_int(mask) or mask < 0 or mask >= limit:
                 problems.append(f"{label} mask {mask!r} has bits outside the {n}x{n} pair grid")
         if problems:
             raise InputError("; ".join(problems))
@@ -222,8 +222,8 @@ class TriangleColoring:
 
     The domain is {(x, y) : tile_index(x, y) < len(seq)} -- a staircase
     triangle whose last anti-diagonal may be partial -- so every value
-    describes a staircase.  The grid forms (cells, rows) are views computed
-    from the sequence; read them once per pass.
+    describes a staircase.  Its bottom-up rows are a view computed from
+    the sequence; read them once per pass.
     """
 
     seq: tuple[int, ...]
@@ -247,9 +247,11 @@ class TriangleColoring:
         size = sum(len(row) for row in rows)
         if size != depth + 1:
             raise InputError(f"domain has {size} tiles, expected {depth + 1}")
+        xs, ss = _geometry(depth + 1)
         seq = []
         for k in range(depth + 1):
-            x, y = tile_at(k)
+            x = xs[k]
+            y = ss[k] - x
             # depth + 1 cells and every staircase tile present: no strays
             if y >= len(rows) or x >= len(rows[y]):
                 raise InputError(f"tile {(x, y)} (diagonal index {k}) missing from domain")
@@ -261,30 +263,16 @@ class TriangleColoring:
         """Diagonal index of the last tile."""
         return len(self.seq) - 1
 
-    @property
-    def cells(self) -> dict[tuple[int, int], int]:
-        """{(x, y): color} over the domain."""
-        return {tile_at(k): c for k, c in enumerate(self.seq)}
-
     def rows(self) -> list[list[int]]:
         """Bottom-up rows, row y listing g(0,y) .. g(x_max,y)."""
         out: list[list[int]] = []
-        for k, c in enumerate(self.seq):
+        for c, x, s in zip(self.seq, *_geometry(len(self.seq))):
             # diagonal order meets (0, y) first in row y, then ascending x
-            _, y = tile_at(k)
+            y = s - x
             if y == len(out):
                 out.append([])
             out[y].append(c)
         return out
-
-    def max_y(self) -> int:
-        x, y = tile_at(self.depth)
-        return x + y
-
-    def max_x(self) -> int:
-        # the last tile's diagonal is the top one; below it every diagonal is full
-        x, y = tile_at(self.depth)
-        return x + y if y == 0 else x + y - 1
 
 
 def full_triangle_depth(diagonals: int) -> int:
@@ -307,15 +295,14 @@ class PeriodicWitness:
     q: int
     rows: tuple[tuple[int, ...], ...]  # rows[y][x] for 0 <= y < q, 0 <= x < p
 
-    def color_at(self, x: int, y: int) -> int:
-        return self.rows[y % self.q][x % self.p]
-
     def expand(self, diagonals: int) -> TriangleColoring:
-        """Unroll onto the full triangle of tiles with x + y <= diagonals."""
-        # color_at, inlined: every witness check unrolls its torus here
+        """Unroll onto the full triangle of tiles with x + y <= diagonals:
+        tile (x, y) takes the color of cell (x mod p, y mod q)."""
         rows, p, q = self.rows, self.p, self.q
-        tiles = map(tile_at, range(full_triangle_depth(diagonals) + 1))
-        return TriangleColoring(tuple(rows[y % q][x % p] for x, y in tiles))
+        size = full_triangle_depth(diagonals) + 1
+        xs, ss = _geometry(size)
+        tiles = zip(xs[:size], ss[:size])
+        return TriangleColoring(tuple(rows[(s - x) % q][x % p] for x, s in tiles))
 
 
 @dataclass(frozen=True)

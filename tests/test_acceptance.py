@@ -86,15 +86,15 @@ def test_bundled_example_accepted_and_corruptions_rejected(
     assert example_system.n == 13
     assert len(example_system.h_pairs()) == 36
     assert len(example_system.v_pairs()) == 53
-    assert len(example_triangle.cells) == 55
+    assert len(example_triangle.seq) == 55
     assert main(["check", sys_path, tri_path]) == 0
 
     # all 55 x 12 single-tile corruptions, swept through the function the
     # check command dispatches to; a sample goes through the command itself
     rejected = accepted = 0
     cli_samples = []
-    cells = example_triangle.cells
     seq = example_triangle.seq
+    cells = {qc.tile_at(k): c for k, c in enumerate(seq)}
     for tile in sorted(cells):
         k = qc.tile_index(*tile)
         for color in range(13):

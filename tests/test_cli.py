@@ -201,10 +201,12 @@ def test_render_custom_palette(paths, tmp_path):
 
 def test_render_rejects_bad_palette(paths, tmp_path, capsys):
     palette_path = tmp_path / "palette.json"
-    palette_path.write_text(json.dumps([{"name": "x", "rgb": [0, 0, 256]}]))
-    assert main(["render", paths["sequence"], "--format", "svg",
-                 "--palette", str(palette_path)]) == 2
-    assert "palette entry 0" in capsys.readouterr().err
+    # out of range, a JSON true (no channel value), a float
+    for rgb in ([0, 0, 256], [0, True, 0], [0, 0.5, 0]):
+        palette_path.write_text(json.dumps([{"name": "x", "rgb": rgb}]))
+        assert main(["render", paths["sequence"], "--format", "svg",
+                     "--palette", str(palette_path)]) == 2
+        assert "palette entry 0" in capsys.readouterr().err
 
 
 def test_isomorphic_exit_codes(tmp_path, capsys):

@@ -50,7 +50,7 @@ def test_ppm_geometry_and_background():
     data = qc.render_triangle(tri, fmt="ppm").decode()
     lines = data.splitlines()
     assert lines[0] == "P3"
-    assert lines[1] == "2 2"  # max_x+1 by max_y+1
+    assert lines[1] == "2 2"  # bottom row width by row count
     assert lines[2] == "255"
     palette = qc.default_palette(3)
     top = lines[3].split("  ")
@@ -82,7 +82,7 @@ def test_svg_is_deterministic(example_triangle):
     a = qc.render_triangle(example_triangle, fmt="svg", scale=2)
     b = qc.render_triangle(example_triangle, fmt="svg", scale=2)
     assert a == b
-    assert a.count(b"<rect") == len(example_triangle.cells)
+    assert a.count(b"<rect") == len(example_triangle.seq)
 
 
 def test_example_render_bytes_are_pinned(example_triangle):

@@ -109,6 +109,22 @@ def test_extendable_colors_rejects_bad_prefix():
         qc.extendable_colors(s, (0, 0, 0), 2)
 
 
+@pytest.mark.parametrize("length", [0, -1, 5.0, True, "4", None])
+def test_search_lengths_must_be_ints(length):
+    # a float, a bool or a string is no length: each is an input error
+    # before the walk sizes its tile table, and True is not taken as 1
+    s = qc.ColoringSystem.from_pairs(2, 0, [(0, 1), (1, 0)], [(0, 0), (1, 1)])
+    with pytest.raises(qc.InputError):
+        qc.build_chain(s, length)
+    with pytest.raises(qc.InputError):
+        qc.enumerate_sequences(s, length)
+    if length != 0:  # 0 is a legal horizon for the empty prefix
+        with pytest.raises(qc.InputError):
+            qc.extendable_colors(s, (), length)
+    with pytest.raises(qc.InputError):
+        qc.extendable_colors(s, (0,), length)
+
+
 @given(system_strategy(max_colors=3), st.integers(1, 7))
 @settings(max_examples=120, deadline=None)
 def test_build_chain_is_least_reachable(s, horizon):
@@ -173,18 +189,23 @@ def test_budgeted_length_profile_counts_frontier_words():
 
 
 def test_exhaustion_matches_the_length_profile_at_the_census_cap():
-    # the frontier sweep shares no code with the leaves walk: exhaustion
-    # is exact at L exactly when the last nonzero count is at length L
-    budget = qc.SearchBudget(depth_cap=64)
-    for index in range(512):
-        s = qc.system_at(2, index)
+    # the frontier sweep shares no walk with the leaves walk, only the
+    # tile table: exhaustion is exact at L exactly when the last nonzero
+    # count is at length L.  Every n=2 system at the census cap, then a
+    # seeded n=3 sample at 21 tiles (six full diagonals), where the n=3
+    # frontier stays small; both verdict kinds occur in each.
+    rng = random.Random(3)
+    samples = [(qc.system_at(2, index), 64) for index in range(512)]
+    samples += [(random_system(rng, 3), 21) for _ in range(600)]
+    kinds = {2: set(), 3: set()}
+    for s, cap in samples:
+        budget = qc.SearchBudget(depth_cap=cap)
         counts = qc.length_profile(s, budget).counts
         longest = max(k + 1 for k, count in enumerate(counts) if count)
-        if longest < budget.depth_cap:
-            expected = qc.ExactMax(longest)
-        else:
-            expected = qc.ReachedCap(budget.depth_cap)
-        assert qc.max_accept_length(s, budget) == expected, index
+        expected = qc.ExactMax(longest) if longest < cap else qc.ReachedCap(cap)
+        assert qc.max_accept_length(s, budget) == expected, s
+        kinds[s.n].add(type(expected))
+    assert kinds == {2: {qc.ExactMax, qc.ReachedCap}, 3: {qc.ExactMax, qc.ReachedCap}}
 
 
 def test_budgeted_search_results_are_pinned():

@@ -76,8 +76,12 @@ def test_validate_catches_stray_mask_bits():
         ({"n": True}, "color count True out of range [1, 64]"),
         ({"h_mask": -1}, "horizontal mask -1 has bits outside the 3x3 pair grid"),
         ({"v_mask": 1 << 9}, "vertical mask 512 has bits outside the 3x3 pair grid"),
+        ({"h_mask": True}, "horizontal mask True has bits outside the 3x3 pair grid"),
     ],
-    ids=["n=0", "n=65", "origin=-1", "origin=n", "origin=True", "n=True", "negative-mask", "stray-bit"],
+    ids=[
+        "n=0", "n=65", "origin=-1", "origin=n", "origin=True", "n=True", "negative-mask",
+        "stray-bit", "mask=True",
+    ],
 )
 def test_invalid_system_raises_at_construction(fields, message):
     valid = qc.ColoringSystem(n=3, origin=1, h_mask=0b101, v_mask=0b110)
@@ -175,7 +179,6 @@ def test_partial_last_diagonal_rows():
     tri = qc.TriangleColoring((5, 6, 7, 8))
     # tiles 0..3 are (0,0), (0,1), (1,0), (0,2)
     assert tri.rows() == [[5, 7], [6], [8]]
-    assert tri.max_x() == 1 and tri.max_y() == 2
 
 
 @given(st.lists(st.integers(0, 9), min_size=1, max_size=60))
@@ -183,7 +186,13 @@ def test_partial_last_diagonal_rows():
 def test_triangle_roundtrip_any_length(seq):
     tri = qc.TriangleColoring(seq)
     assert tri.seq == tuple(seq)
-    assert qc.TriangleColoring.from_rows(tri.depth, tri.rows()) == tri
+    rows = tri.rows()
+    assert qc.TriangleColoring.from_rows(tri.depth, rows) == tri
+    # the renderers' height and width: the last tile opens the top row,
+    # and the bottom row is the widest, ending on the last full diagonal
+    x, y = qc.tile_at(tri.depth)
+    assert len(rows) == x + y + 1
+    assert len(rows[0]) == (x + y + 1 if y == 0 else x + y) == max(map(len, rows))
 
 
 def test_from_rows_rejects_wrong_domains():
@@ -210,9 +219,14 @@ def test_witness_problems_and_expansion():
     tri = w.expand(5)
     assert tri.depth == qc.full_triangle_depth(5)
     assert qc.check_triangle(s, tri) is None
-    for x in range(4):
-        for y in range(4):
-            assert w.color_at(x, y) == x % 2
+    assert tri.rows()[:4] == [[0, 1, 0, 1, 0, 1], [0, 1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0]]
+    # the table-driven unrolling against one decoded tile by tile
+    for torus in (w, qc.PeriodicWitness(3, 2, ((0, 1, 2), (3, 4, 5))),
+                  qc.PeriodicWitness(1, 3, ((7,), (8,), (9,)))):
+        for d in (0, 1, 4, 9, 40):
+            tiles = map(qc.tile_at, range(qc.full_triangle_depth(d) + 1))
+            unrolled = tuple(torus.rows[y % torus.q][x % torus.p] for x, y in tiles)
+            assert torus.expand(d).seq == unrolled, (torus, d)
 
     flipped = qc.PeriodicWitness(p=2, q=1, rows=((1, 0),))
     assert qc.check_witness(s, flipped).kind == "origin"
