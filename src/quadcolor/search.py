@@ -310,10 +310,8 @@ def extendable_colors(
     violation = check_sequence(sys, prefix) if prefix else None
     if violation is not None:
         raise InputError(f"prefix is not accepted: {violation.message()}")
-    if not _is_int(horizon):
-        raise InputError(f"horizon must be an int, got {horizon!r}")
-    if horizon < len(prefix):
-        raise InputError(f"horizon {horizon} shorter than the prefix ({len(prefix)})")
+    if not _is_int(horizon) or horizon < len(prefix):
+        raise InputError(f"horizon {horizon!r} is not an int >= the prefix length ({len(prefix)})")
     target = max(horizon, len(prefix) + 1)
     out = set()
     for c in range(sys.n):
