@@ -111,8 +111,9 @@ def test_extendable_colors_rejects_bad_prefix():
 
 @pytest.mark.parametrize("length", [0, -1, 5.0, True, "4", None])
 def test_search_lengths_must_be_ints(length):
-    # a float, a bool or a string is no length: each is an input error
-    # before the walk sizes its tile table, and True is not taken as 1
+    # lengths are ints >= 1 and horizons ints >= the prefix length; a
+    # float, bool, string or None is an input error before the walk sizes
+    # its tile table, and True is not taken as 1
     s = qc.ColoringSystem.from_pairs(2, 0, [(0, 1), (1, 0)], [(0, 0), (1, 1)])
     with pytest.raises(qc.InputError):
         qc.build_chain(s, length)
