@@ -10,9 +10,12 @@ output hashes each checkout's benchmark pins.
 
 With two checkouts, say a parent commit and a change, every (workload,
 seed) runs both back to back and the order flips from one seed to the
-next, so the runs form alternated pairs.  Each run takes about half a
-minute, so five seeds over three workloads and two checkouts take about
-15 minutes.
+next, so the runs form alternated pairs.  The file then also compares the
+two per workload and end-to-end metric: how many pairs the second checkout
+won, lost and tied in the direction BENCHMARK.json calls better, and the
+first checkout's quartiles, the spread a change must clear to claim a
+gain.  Each run takes about half a minute, so five seeds over three
+workloads and two checkouts take about 15 minutes.
 
 Usage:
     python3 scripts/bench_record.py --out BENCH.json
@@ -88,6 +91,38 @@ def _summary(runs: list, metrics: list) -> dict:
     return out
 
 
+def _comparison(parent: list, change: list, metrics: list) -> dict:
+    """Per metric: the pairs (runs of one seed) the change won, lost and
+    tied, and the parent's quartiles (statistics.quantiles, inclusive)."""
+    out = {}
+    for m in metrics:
+        name = m["name"]
+        pairs = [
+            (a["metrics"][name], b["metrics"][name])
+            for a, b in zip(parent, change)
+            if "metrics" in a and "metrics" in b
+        ]
+        if not pairs:
+            continue
+        sign = 1 if m["better"] == "lower" else -1
+        diffs = [sign * (a - b) for a, b in pairs]
+        values = [a for a, _ in pairs]
+        if len(values) > 1:
+            q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        else:
+            q1 = q3 = values[0]
+        out[name] = {
+            "better": m["better"],
+            "won": sum(d > 0 for d in diffs),
+            "lost": sum(d < 0 for d in diffs),
+            "tied": sum(d == 0 for d in diffs),
+            "parent_quartiles": [q1, q3],
+            "parent_median": statistics.median(values),
+            "change_median": statistics.median(b for _, b in pairs),
+        }
+    return out
+
+
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
@@ -140,6 +175,17 @@ def main() -> int:
             for c, checkout in enumerate(checkouts)
         ],
     }
+    if len(checkouts) == 2:
+        record["comparison"] = {
+            w: _comparison(runs[0, w], runs[1, w], spec["end_to_end"]) for w in workloads
+        }
+        for w, metrics in record["comparison"].items():
+            for name, c in metrics.items():
+                q1, q3 = c["parent_quartiles"]
+                print(
+                    f"{w} {name}: {c['parent_median']:.4g} ({q1:.4g}-{q3:.4g}) -> "
+                    f"{c['change_median']:.4g}, won {c['won']} lost {c['lost']} tied {c['tied']}"
+                )
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     failed = sum(1 for r in runs.values() for run in r if not run.get("correct"))
     print(f"wrote {args.out}; {failed} run(s) failed or were incorrect")

@@ -49,12 +49,8 @@ def tile_index(x: int, y: int) -> int:
 
 def diagonal_of(k: int) -> int:
     """Largest m with triangular(m) <= k, i.e. the anti-diagonal holding index k."""
-    if k < 0:
-        raise ValueError(f"tile index must be non-negative, got {k}")
-    if k > MAX_INDEX:
-        raise ValueError(f"tile index {k} outside supported range [0, {MAX_INDEX}]")
-    # isqrt is exact, so no off-by-one correction is needed
-    return (isqrt(8 * k + 1) - 1) // 2
+    x, y = tile_at(k)
+    return x + y
 
 
 def tile_at(k: int) -> tuple[int, int]:
@@ -63,8 +59,8 @@ def tile_at(k: int) -> tuple[int, int]:
         raise ValueError(f"tile index must be non-negative, got {k}")
     if k > MAX_INDEX:
         raise ValueError(f"tile index {k} outside supported range [0, {MAX_INDEX}]")
-    # diagonal_of, inlined: this is the innermost call of every walk over
-    # the quadrant
+    # isqrt is exact, so no off-by-one correction.  No table: the checker
+    # decodes each tile it judges here, and the codec test times 10^6 calls.
     m = (isqrt(8 * k + 1) - 1) // 2
     x = k - m * (m + 1) // 2
     return x, m - x

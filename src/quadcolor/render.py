@@ -11,7 +11,7 @@ from __future__ import annotations
 import colorsys
 from dataclasses import dataclass
 
-from .systems import InputError, TriangleColoring
+from .systems import InputError, TriangleColoring, _is_int
 
 # an homage to the classic crayon box; colors beyond these are generated
 _BASE_COLORS: tuple = (
@@ -40,9 +40,6 @@ class Palette:
     """Color number -> (name, rgb).  Lookups past the end are errors."""
 
     entries: tuple
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def name(self, color: int) -> str:
         self._check(color)
@@ -78,8 +75,8 @@ def render_triangle(
     """Render a staircase triangle; fmt is one of text, svg, ppm."""
     if fmt not in FORMATS:
         raise InputError(f"format must be one of {'/'.join(FORMATS)}, got {fmt!r}")
-    if scale < 1:
-        raise InputError(f"scale must be >= 1, got {scale}")
+    if not _is_int(scale) or scale < 1:
+        raise InputError(f"scale must be an int >= 1, got {scale!r}")
     if palette is None and fmt != "text":
         palette = default_palette(max(tri.seq) + 1)
     if fmt == "text":

@@ -27,7 +27,7 @@ or x - y, read off four n-node graphs with no search), exhaustion of the
 sequence tree, and a torus search over row graphs.  A shadow colors the
 quadrant, so where no node cap is set it stands in for the dive to the
 depth cap that exhaustion would make.  The torus search's row graphs keep
-their H half, which many systems of a census share, in a small cache.
+their H half, shared by many systems of a census, cached by H's table.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ def _leaves(
     if k >= target:
         return [tuple(prefix)], k
     n = sys.n
-    h_next = [sys.h_successors(c) for c in range(n)]
-    v_next = [sys.v_successors(c) for c in range(n)]
+    h_next = sys.h_next
+    v_next = sys.v_next
     live_h = 0
     live_v = 0
     for c in range(n):
@@ -261,10 +261,9 @@ def length_profile(
     is Indeterminate, with max_seen the longest length whose count
     completed.
     """
-    n = sys.n
-    h_next = [sys.h_successors(c) for c in range(n)]
-    v_next = [sys.v_successors(c) for c in range(n)]
-    full = (1 << n) - 1
+    h_next = sys.h_next
+    v_next = sys.v_next
+    full = (1 << sys.n) - 1
     nodes_left = budget.node_cap
     counts = [0] * budget.depth_cap
     frontier = {(): 1}
@@ -350,19 +349,18 @@ def build_chain(
 
 
 @lru_cache(maxsize=16)
-def _wrap_rows(n: int, h_mask: int, p: int) -> tuple[tuple, tuple]:
+def _wrap_rows(h_next: tuple, p: int) -> tuple[tuple, tuple]:
     """The H half of the width-p row graph, as (rows, with_color).
 
     rows: every length-p row legal on a width-p cylinder (consecutive pairs
     and the wrap pair (row[-1], row[0]) in H), lexicographically sorted.
     with_color[x][c]: the bitset of the rows with color c at position x.
 
-    Cached by H: a census classifies a run of systems that share one
-    canonical H, each at every width up to the period cap.  Both parts are
-    tuples, because every caller with this H gets the same objects.
+    Cached by H's table: a census classifies a run of systems that share
+    one canonical H, each at every width up to the period cap.  Both parts
+    are tuples, because every caller with this H gets the same objects.
     """
-    sys = ColoringSystem(n, 0, h_mask, 0)
-    h_next = [sys.h_successors(c) for c in range(n)]
+    n = len(h_next)
     rows = []
     for first in range(n):
         # grow rows left to right; ascending extension keeps the list sorted
@@ -377,7 +375,7 @@ def _wrap_rows(n: int, h_mask: int, p: int) -> tuple[tuple, tuple]:
                     grown.append(row + (low.bit_length() - 1,))
             partial = grown
         for row in partial:
-            if sys.h_allows(row[-1], row[0]):
+            if h_next[row[-1]] >> row[0] & 1:
                 rows.append(row)
     with_color = [[0] * n for _ in range(p)]
     for j, row in enumerate(rows):
@@ -395,8 +393,8 @@ def _row_graph(sys: ColoringSystem, p: int) -> tuple[tuple, list, int]:
     starts: the bitset of the rows whose first cell has the origin color.
     """
     n = sys.n
-    rows, with_color = _wrap_rows(n, sys.h_mask, p)
-    v_next = [sys.v_successors(c) for c in range(n)]
+    rows, with_color = _wrap_rows(sys.h_next, p)
+    v_next = sys.v_next
     # above[x][c]: the rows whose color at position x may sit on top of c
     above = []
     for x in range(p):
@@ -511,8 +509,8 @@ def _shadows(sys: ColoringSystem) -> Iterator[bool]:
     """
     n = sys.n
     o = sys.origin
-    h = [sys.h_successors(c) for c in range(n)]
-    v = [sys.v_successors(c) for c in range(n)]
+    h = sys.h_next
+    v = sys.v_next
     if not (h[o] and v[o]):
         # every kind steps from the origin by H, and to or from it by V
         yield from (False, False, False, False)

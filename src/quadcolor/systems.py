@@ -15,7 +15,7 @@ across threads or processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterable, Union
 
@@ -61,6 +61,10 @@ class ColoringSystem:
     origin: int
     h_mask: int
     v_mask: int
+    # the searches' successor tables, derived once and ignored by ==, hash and
+    # repr: h_next[c] is the bitmask of the d with (c, d) in H; v_next for V
+    h_next: tuple = field(init=False, repr=False, compare=False)
+    v_next: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
@@ -71,6 +75,9 @@ class ColoringSystem:
                 problems.append(f"{label} mask {mask!r} has bits outside the {n}x{n} pair grid")
         if problems:
             raise InputError("; ".join(problems))
+        row = (1 << n) - 1
+        for name, mask in (("h_next", self.h_mask), ("v_next", self.v_mask)):
+            object.__setattr__(self, name, tuple(mask >> (c * n) & row for c in range(n)))
 
     @classmethod
     def from_pairs(
@@ -107,13 +114,6 @@ class ColoringSystem:
 
     def v_allows(self, c: int, d: int) -> bool:
         return bool(self.v_mask >> (c * self.n + d) & 1)
-
-    def h_successors(self, c: int) -> int:
-        """Bitmask of colors d with (c, d) in H."""
-        return (self.h_mask >> (c * self.n)) & ((1 << self.n) - 1)
-
-    def v_successors(self, c: int) -> int:
-        return (self.v_mask >> (c * self.n)) & ((1 << self.n) - 1)
 
     def h_pairs(self) -> list[tuple[int, int]]:
         """H as a sorted pair list (the interchange representation)."""
@@ -242,6 +242,8 @@ class TriangleColoring:
     @classmethod
     def from_rows(cls, depth: int, rows: list[list[int]]) -> "TriangleColoring":
         """Build from bottom-up rows; the domain must match ``depth`` exactly."""
+        if not _is_int(depth):
+            raise InputError(f"depth {depth!r} is not an int")
         if depth < 0:
             raise InputError(f"depth {depth} is negative")
         size = sum(len(row) for row in rows)
@@ -298,6 +300,8 @@ class PeriodicWitness:
     def expand(self, diagonals: int) -> TriangleColoring:
         """Unroll onto the full triangle of tiles with x + y <= diagonals:
         tile (x, y) takes the color of cell (x mod p, y mod q)."""
+        if not _is_int(diagonals) or diagonals < 0:
+            raise InputError(f"diagonal count {diagonals!r} is not an int >= 0")
         rows, p, q = self.rows, self.p, self.q
         size = full_triangle_depth(diagonals) + 1
         xs, ss = _geometry(size)

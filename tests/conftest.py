@@ -133,19 +133,20 @@ def random_system(rng, n) -> qc.ColoringSystem:
 
 
 def random_accepted_sequence(rng, sys, max_len):
-    """Random walk through the candidate masks; stops at a dead end."""
+    """Random walk through the colors the pair relations allow next (read
+    off the masks with h_allows / v_allows, not the search's successor
+    tables); stops at a dead end."""
     seq = [sys.origin]
     while len(seq) < max_len:
         k = len(seq)
         x, y = qc.tile_at(k)
-        cands = (1 << sys.n) - 1
-        if x > 0:
-            cands &= sys.h_successors(seq[qc.tile_index(x - 1, y)])
-        if y > 0:
-            cands &= sys.v_successors(seq[qc.tile_index(x, y - 1)])
-        if not cands:
+        choices = [
+            c for c in range(sys.n)
+            if (x == 0 or sys.h_allows(seq[qc.tile_index(x - 1, y)], c))
+            and (y == 0 or sys.v_allows(seq[qc.tile_index(x, y - 1)], c))
+        ]
+        if not choices:
             break
-        choices = [c for c in range(sys.n) if cands >> c & 1]
         seq.append(rng.choice(choices))
     return tuple(seq)
 

@@ -80,6 +80,8 @@ def test_triangle_and_sequence_checkers_agree(example_system, example_sequence):
         (2, [[0], [0]], "domain has 2 tiles, expected 3"),
         (1, [[0, 1]], "tile (0, 1) (diagonal index 1) missing from domain"),
         (-1, [], "depth -1 is negative"),
+        (True, [[1], [2]], "depth True is not an int"),
+        (1.0, [[1], [2]], "depth 1.0 is not an int"),
     ],
 )
 def test_check_triangle_rejects_a_wrong_domain(depth, cells, message):

@@ -104,7 +104,7 @@ def test_default_palette_names():
     p = qc.default_palette(13)
     assert p.name(0) == "red"
     assert p.name(12) == "orange"
-    assert len(p) == 13
+    assert len(p.entries) == 13
     bigger = qc.default_palette(16)
     assert bigger.name(12) == "orange"
     assert bigger.name(13).startswith("hue")

@@ -113,7 +113,14 @@ def test_extendable_colors_rejects_bad_prefix():
 def test_search_lengths_must_be_ints(length):
     # lengths are ints >= 1 and horizons ints >= the prefix length; a
     # float, bool, string or None is an input error before the walk sizes
-    # its tile table, and True is not taken as 1
+    # its tile table, and True is not taken as 1.  A witness's diagonal
+    # count (an int >= 0) and a render scale (an int >= 1) follow the same
+    # rule, with messages that name the argument.
+    if length != 0:
+        with pytest.raises(qc.InputError, match="diagonal count"):
+            qc.PeriodicWitness(1, 1, ((0,),)).expand(length)
+    with pytest.raises(qc.InputError, match="scale"):
+        qc.render_triangle(qc.TriangleColoring((0,)), fmt="ppm", scale=length)
     s = qc.ColoringSystem.from_pairs(2, 0, [(0, 1), (1, 0)], [(0, 0), (1, 1)])
     with pytest.raises(qc.InputError):
         qc.build_chain(s, length)

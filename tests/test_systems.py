@@ -53,10 +53,24 @@ def test_bools_are_not_colors():
 
 def test_successor_masks_match_pairs():
     s = qc.ColoringSystem.from_pairs(3, 1, [(0, 2), (2, 1), (2, 2)], [(1, 0)])
-    assert s.h_successors(0) == 0b100
-    assert s.h_successors(1) == 0
-    assert s.h_successors(2) == 0b110
-    assert s.v_successors(1) == 0b001
+    assert s.h_next == (0b100, 0, 0b110)
+    assert s.v_next == (0, 0b001, 0)
+    # the tables against the mask bits on every pair: every system with
+    # n <= 2 and a seeded sample at n = 3..5
+    rng = random.Random(16)
+    systems = [qc.system_at(n, i) for n in (1, 2) for i in range(qc.total_systems(n))]
+    systems += [random_system(rng, n) for n in (3, 4, 5) for _ in range(40)]
+    for t in systems:
+        for c, d in product(range(t.n), repeat=2):
+            assert (t.h_next[c] >> d & 1) == t.h_allows(c, d), (t, c, d)
+            assert (t.v_next[c] >> d & 1) == t.v_allows(c, d), (t, c, d)
+    # derived, not compared: replace recomputes them, == and hash ignore them
+    t = dataclasses.replace(s, h_mask=0b001_000_000)
+    assert t.h_next == (0, 0, 0b001) and t.v_next == s.v_next
+    twin = qc.ColoringSystem(3, 1, s.h_mask, s.v_mask)
+    object.__setattr__(twin, "h_next", ())
+    assert twin == s and hash(twin) == hash(s)
+    assert "h_next" not in repr(s)
 
 
 def test_validate_catches_stray_mask_bits():
@@ -85,7 +99,8 @@ def test_validate_catches_stray_mask_bits():
 )
 def test_invalid_system_raises_at_construction(fields, message):
     valid = qc.ColoringSystem(n=3, origin=1, h_mask=0b101, v_mask=0b110)
-    bad = {**vars(valid), **fields}
+    init = {f.name: getattr(valid, f.name) for f in dataclasses.fields(valid) if f.init}
+    bad = {**init, **fields}
     with pytest.raises(qc.InputError) as err:
         qc.ColoringSystem(**bad)
     assert str(err.value) == message
