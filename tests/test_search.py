@@ -233,6 +233,22 @@ def test_budgeted_search_results_are_pinned():
     assert digest == "1a21d9fc4797beb19d65429eb57d09bbfc50fe51d39e428762dd63facfe25f76"
 
 
+def test_budgeted_witness_results_are_pinned():
+    # every n=2 system under a ladder of period and node caps: the torus
+    # search returns the same witness, or runs out at the same node, as the
+    # engine these bytes were recorded from
+    results = []
+    for index in range(512):
+        s = qc.system_at(2, index)
+        for period_cap in (1, 2, 3, 4):
+            for node_cap in (1, 2, 3, 5, 8, 13, 40, None):
+                budget = qc.SearchBudget(period_cap=period_cap, node_cap=node_cap)
+                results.append(qc.find_periodic_witness(s, budget))
+    assert None in results and any(isinstance(r, qc.PeriodicWitness) for r in results)
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "bd8ca8d6d054d71d93d5e6e52c790594028e4848ce10d863e538f3092bc4e4ad"
+
+
 @given(system_strategy(max_colors=3))
 @settings(max_examples=80, deadline=None)
 def test_witness_is_first_in_period_order(s):
