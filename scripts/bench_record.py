@@ -15,11 +15,13 @@ two per workload and end-to-end metric: how many pairs the second checkout
 won, lost and tied in the direction BENCHMARK.json calls better, and the
 first checkout's quartiles, the spread a change must clear to claim a
 gain.  Each run takes about half a minute, so five seeds over three
-workloads and two checkouts take about 15 minutes.
+workloads and two checkouts take about 15 minutes.  --workloads records
+only the named workloads (by default all of them).
 
 Usage:
     python3 scripts/bench_record.py --out BENCH.json
     python3 scripts/bench_record.py PARENT_CHECKOUT . --out BENCH.json --seeds 11 12 13 14 15
+    python3 scripts/bench_record.py PARENT_CHECKOUT . --out BENCH.json --workloads census-n3
 """
 
 from __future__ import annotations
@@ -125,13 +127,16 @@ def _comparison(parent: list, change: list, metrics: list) -> dict:
 
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = [w["name"] for w in spec["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("checkouts", nargs="*", type=Path, default=[ROOT],
                     help="checkouts to measure, each with its own perfbench/ (default: this one)")
     ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
+    names = [w["name"] for w in spec["workloads"]]
+    ap.add_argument("--workloads", nargs="+", choices=names, default=names, metavar="W",
+                    help=f"workloads to record, from {', '.join(names)} (default: all)")
     args = ap.parse_args()
+    workloads = [w for w in names if w in args.workloads]
     seconds = spec["run_seconds"]
     checkouts = [path.resolve() for path in args.checkouts]
 

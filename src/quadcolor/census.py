@@ -154,6 +154,8 @@ def _classified(
     those ties, as in canonicalize.
     """
     total = total_systems(n)
+    if not (_is_int(start) and (stop is None or _is_int(stop))):
+        raise InputError(f"record range start={start!r}, stop={stop!r}: ends must be ints, stop may be None")
     if stop is None:
         stop = total
     if not 0 <= start <= stop <= total:
@@ -402,8 +404,8 @@ def run_census(
     _check_color_count(n)
     if not _is_int(jobs) or jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs!r}")
-    if stop_after is not None and stop_after < 0:
-        raise InputError(f"stop_after must be >= 0, got {stop_after!r}")
+    if stop_after is not None and (not _is_int(stop_after) or stop_after < 0):
+        raise InputError(f"stop_after must be an int >= 0 or None, got {stop_after!r}")
     if resume and out_path is None:
         raise InputError("resume needs an output path to resume from")
 

@@ -26,8 +26,10 @@ with both self-loops, a 1-D shadow (a coloring constant along x, y, x + y
 or x - y, read off four n-node graphs with no search), exhaustion of the
 sequence tree, and a torus search over row graphs.  A shadow colors the
 quadrant, so where no node cap is set it stands in for the dive to the
-depth cap that exhaustion would make.  The torus search's row graphs keep
-their H half, shared by many systems of a census, cached by H's table.
+depth cap that exhaustion would make.  The torus search reads its period
+order from a cache (_periods) and skips each width with no row in the
+origin color.  Its row graphs keep their H half, and a memo of the unions
+their V half reads, cached by H's table (_wrap_rows).
 """
 
 from __future__ import annotations
@@ -349,16 +351,18 @@ def build_chain(
 
 
 @lru_cache(maxsize=16)
-def _wrap_rows(h_next: tuple, p: int) -> tuple[tuple, tuple]:
-    """The H half of the width-p row graph, as (rows, with_color).
+def _wrap_rows(h_next: tuple, p: int) -> tuple[tuple, tuple, tuple]:
+    """The H half of the width-p row graph, as (rows, with_color, unions).
 
     rows: every length-p row legal on a width-p cylinder (consecutive pairs
     and the wrap pair (row[-1], row[0]) in H), lexicographically sorted.
     with_color[x][c]: the bitset of the rows with color c at position x.
+    unions[x]: a memo from a color mask m to the union of with_color[x][d]
+    over the d in m, filled on demand by _row_graph.
 
     Cached by H's table: a census classifies a run of systems that share
-    one canonical H, each at every width up to the period cap.  Both parts
-    are tuples, because every caller with this H gets the same objects.
+    one canonical H, each at every width up to the period cap, and every
+    caller with this H gets the same objects.
     """
     n = len(h_next)
     rows = []
@@ -381,7 +385,7 @@ def _wrap_rows(h_next: tuple, p: int) -> tuple[tuple, tuple]:
     for j, row in enumerate(rows):
         for x, c in enumerate(row):
             with_color[x][c] |= 1 << j
-    return tuple(rows), tuple(map(tuple, with_color))
+    return tuple(rows), tuple(map(tuple, with_color)), tuple({} for _ in range(p))
 
 
 def _row_graph(sys: ColoringSystem, p: int) -> tuple[tuple, list, int]:
@@ -392,21 +396,16 @@ def _row_graph(sys: ColoringSystem, p: int) -> tuple[tuple, list, int]:
     of rows[i], i.e. every column pair (rows[i][x], rows[j][x]) is in V.
     starts: the bitset of the rows whose first cell has the origin color.
     """
-    n = sys.n
-    rows, with_color = _wrap_rows(sys.h_next, p)
-    v_next = sys.v_next
-    # above[x][c]: the rows whose color at position x may sit on top of c
+    rows, with_color, unions = _wrap_rows(sys.h_next, p)
+    # above[x][c]: the rows whose color at position x may sit on top of c;
+    # the rows of distinct colors at x are disjoint, so a sum is a union
     above = []
-    for x in range(p):
+    for colored, memo in zip(with_color, unions):
         masks = []
-        for c in range(n):
-            allowed = v_next[c]
-            acc = 0
-            while allowed:
-                low = allowed & -allowed
-                allowed ^= low
-                acc |= with_color[x][low.bit_length() - 1]
-            masks.append(acc)
+        for allowed in sys.v_next:
+            if allowed not in memo:
+                memo[allowed] = sum(bits for d, bits in enumerate(colored) if allowed >> d & 1)
+            masks.append(memo[allowed])
         above.append(masks)
     succ = []
     for row in rows:
@@ -415,6 +414,12 @@ def _row_graph(sys: ColoringSystem, p: int) -> tuple[tuple, list, int]:
             acc &= above[x][c]
         succ.append(acc)
     return rows, succ, with_color[0][sys.origin]
+
+
+@lru_cache(maxsize=16)
+def _periods(cap: int) -> tuple:
+    """(p * q, p, q) for every period up to the cap, in search order."""
+    return tuple(sorted((p * q, p, q) for p in range(1, cap + 1) for q in range(1, cap + 1)))
 
 
 def find_periodic_witness(
@@ -429,21 +434,19 @@ def find_periodic_witness(
     length q in the row graph, whose nodes are the horizontally wrap-legal
     rows and whose edges are vertical compatibility.  The graph is built
     once per width p, with each row's successors as a bitset of row
-    indices.  Rows are sorted, so walking successors lowest bit first
-    visits complete colorings in the same order as a cell-by-cell search:
-    the first witness is the lexicographically least one, but failed
-    branches die a whole row at a time.
+    indices, and skipped when no row starts in the origin color.  Rows are
+    sorted, so walking successors lowest bit first visits complete
+    colorings in the same order as a cell-by-cell search: the first
+    witness is the lexicographically least one, but failed branches die a
+    whole row at a time.
     """
     nodes_left = budget.node_cap
     graphs: dict = {}
-    periods = sorted(
-        (p * q, p, q)
-        for p in range(1, budget.period_cap + 1)
-        for q in range(1, budget.period_cap + 1)
-    )
-    for _, p, q in periods:
-        if p not in graphs:
-            graphs[p] = _row_graph(sys, p)
+    for _, p, q in _periods(budget.period_cap):
+        if p not in graphs:  # no start row: no walk, and no node spent
+            graphs[p] = _wrap_rows(sys.h_next, p)[1][0][sys.origin] and _row_graph(sys, p)
+        if not graphs[p]:
+            continue
         rows, succ, starts = graphs[p]
         # DFS over walks of q rows: stack[i] holds the rows still to try as
         # walk[i], so len(stack) == len(walk) + 1; a walk of q rows is a

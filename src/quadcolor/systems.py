@@ -67,17 +67,21 @@ class ColoringSystem:
     v_next: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.n
-        problems = _origin_problems(n, self.origin)
-        limit = 1 << (n * n)
-        for label, mask in (("horizontal", self.h_mask), ("vertical", self.v_mask)):
-            if not _is_int(mask) or mask < 0 or mask >= limit:
-                problems.append(f"{label} mask {mask!r} has bits outside the {n}x{n} pair grid")
-        if problems:
-            raise InputError("; ".join(problems))
+        n, h, v = self.n, self.h_mask, self.v_mask
+        # exact ints pass one test; int subclasses and problems take the checks
+        if not (type(n) is type(self.origin) is type(h) is type(v) is int
+                and 0 <= self.origin < n <= MAX_COLORS and (h | v) >> n * n == 0):
+            problems = _origin_problems(n, self.origin)
+            limit = 1 << (n * n)
+            for label, mask in (("horizontal", h), ("vertical", v)):
+                if not _is_int(mask) or mask < 0 or mask >= limit:
+                    problems.append(f"{label} mask {mask!r} has bits outside the {n}x{n} pair grid")
+            if problems:
+                raise InputError("; ".join(problems))
         row = (1 << n) - 1
-        for name, mask in (("h_next", self.h_mask), ("v_next", self.v_mask)):
-            object.__setattr__(self, name, tuple(mask >> (c * n) & row for c in range(n)))
+        shifts = range(0, n * n, n)
+        object.__setattr__(self, "h_next", tuple([h >> i & row for i in shifts]))
+        object.__setattr__(self, "v_next", tuple([v >> i & row for i in shifts]))
 
     @classmethod
     def from_pairs(

@@ -114,8 +114,9 @@ def test_search_lengths_must_be_ints(length):
     # lengths are ints >= 1 and horizons ints >= the prefix length; a
     # float, bool, string or None is an input error before the walk sizes
     # its tile table, and True is not taken as 1.  A witness's diagonal
-    # count (an int >= 0) and a render scale (an int >= 1) follow the same
-    # rule, with messages that name the argument.
+    # count (an int >= 0), a render scale (an int >= 1), the census's
+    # stop_after (an int >= 0 or None) and record range ends follow the
+    # same rule, with messages that name the argument.
     if length != 0:
         with pytest.raises(qc.InputError, match="diagonal count"):
             qc.PeriodicWitness(1, 1, ((0,),)).expand(length)
@@ -131,6 +132,14 @@ def test_search_lengths_must_be_ints(length):
             qc.extendable_colors(s, (), length)
     with pytest.raises(qc.InputError):
         qc.extendable_colors(s, (0,), length)
+    if length not in (0, None):
+        with pytest.raises(qc.InputError, match="stop_after"):
+            qc.run_census(2, SMALL, stop_after=length)
+        with pytest.raises(qc.InputError, match="stop|record range"):
+            next(qc.census_records(2, SMALL, 0, length))
+    if length != 0:
+        with pytest.raises(qc.InputError, match="start|record range"):
+            next(qc.census_records(2, SMALL, length, 3))
 
 
 @given(system_strategy(max_colors=3), st.integers(1, 7))
@@ -441,18 +450,28 @@ def _row_graph_by_brute_force(s, p):
 
 
 def test_row_graph_matches_a_brute_force_build():
-    # the H half of the row graph is cached by (n, H, p): every H at n <= 3
-    # and width <= 4 gives the graph built by brute force, and a second call
-    # on the same cached H gives the second V's successors
+    # the H half of the row graph and its memo of V unions are cached by
+    # (H, p): every H at n <= 3 and width <= 4, and a seeded n=4 sample at
+    # width <= 3, each under six V masks and origins, gives the graph built
+    # by brute force, so later systems read unions that earlier ones memoized
     rng = random.Random(19)
-    for n in (2, 3):
-        for h_mask in range(1 << n * n):
-            for p in range(1, 5):
-                for _ in range(2):
-                    s = qc.ColoringSystem(n, rng.randrange(n), h_mask, rng.randrange(1 << n * n))
-                    hits = search._wrap_rows.cache_info().hits
-                    assert search._row_graph(s, p) == _row_graph_by_brute_force(s, p), (s, p)
-                assert search._wrap_rows.cache_info().hits > hits
+    cases = [(n, h_mask, range(1, 5)) for n in (2, 3) for h_mask in range(1 << n * n)]
+    cases += [(4, rng.randrange(1 << 16), range(1, 4)) for _ in range(40)]
+    for n, h_mask, widths in cases:
+        for p in widths:
+            hits = search._wrap_rows.cache_info().hits
+            for i in range(6):
+                s = qc.ColoringSystem(n, i % n, h_mask, rng.randrange(1 << n * n))
+                assert search._row_graph(s, p) == _row_graph_by_brute_force(s, p), (s, p)
+            assert search._wrap_rows.cache_info().hits >= hits + 5
+            rows, _, unions = search._wrap_rows(s.h_next, p)
+            for x, memo in enumerate(unions):
+                for allowed, union in memo.items():
+                    assert union == sum(1 << j for j, row in enumerate(rows) if allowed >> row[x] & 1)
+    # the torus search's period order, read from its cache
+    for cap in range(1, 6):
+        periods = sorted((p * q, p, q) for p in range(1, cap + 1) for q in range(1, cap + 1))
+        assert search._periods(cap) == tuple(periods)
 
 
 def test_classify_example_is_unknown_at_default_caps(example_system):

@@ -71,6 +71,14 @@ def test_successor_masks_match_pairs():
     object.__setattr__(twin, "h_next", ())
     assert twin == s and hash(twin) == hash(s)
     assert "h_next" not in repr(s)
+    # an int subclass other than bool is an int: accepted as each field and
+    # as all of them, with the same tables
+    class Int(int):
+        pass
+
+    for fields in ("n",), ("origin",), ("h_mask",), ("v_mask",), ("n", "origin", "h_mask", "v_mask"):
+        sub = dataclasses.replace(s, **{name: Int(getattr(s, name)) for name in fields})
+        assert sub == s and (sub.h_next, sub.v_next) == (s.h_next, s.v_next), fields
 
 
 def test_validate_catches_stray_mask_bits():
