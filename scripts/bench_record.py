@@ -16,12 +16,22 @@ won, lost and tied in the direction BENCHMARK.json calls better, and the
 first checkout's quartiles, the spread a change must clear to claim a
 gain.  Each run takes about half a minute, so five seeds over three
 workloads and two checkouts take about 15 minutes.  --workloads records
-only the named workloads (by default all of them).
+only the named workloads (by default all of them; none when given no names).
+
+--full-census K also runs the whole n=3 census (``quadcolor census 3``,
+786,432 records) K times per checkout at jobs 1 and at jobs 2, alternated
+between the checkouts in the same way, and checks each output file's
+sha256 against FULL_N3_SHA256.  Its runs record wall time, the CPU time of
+the census process and its workers, and the printed summary, under the
+workload names ``full-n3 jobs=1`` and ``full-n3 jobs=2``, and with two
+checkouts the file compares them as it does the workloads.  A run takes
+10-15 s on a 2-core host and its 84 MB output file is deleted after hashing.
 
 Usage:
     python3 scripts/bench_record.py --out BENCH.json
     python3 scripts/bench_record.py PARENT_CHECKOUT . --out BENCH.json --seeds 11 12 13 14 15
     python3 scripts/bench_record.py PARENT_CHECKOUT . --out BENCH.json --workloads census-n3
+    python3 scripts/bench_record.py PARENT_CHECKOUT . --out BENCH.json --workloads --full-census 5
 """
 
 from __future__ import annotations
@@ -29,17 +39,27 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import hashlib
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 300  # run.py stops its own children after 170 s
 PIN = re.compile(r'^([A-Z_]+_SHA256) = "([0-9a-f]{64})"$', re.MULTILINE)
+# The full n=3 census file at the default budget, at every job count.
+FULL_N3_SHA256 = "6398d37ae02ca7a0f76099a819d07d4348577d5de2dfc717072b0f64f2ad1fa7"
+FULL_JOBS = (1, 2)
+FULL_METRICS = [
+    {"name": "wall_s", "unit": "s", "better": "lower"},
+    {"name": "cpu_s", "unit": "s", "better": "lower"},
+]
 
 
 def _commit(checkout: Path) -> str:
@@ -76,6 +96,57 @@ def _run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
         "reps": len(info["rep_walls"]),
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
+
+
+def _full_census(checkout: Path, jobs: int) -> dict:
+    """One whole n=3 census from the checkout's own source, with its output
+    file's sha256 checked."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "n3.jsonl"
+        cmd = [sys.executable, "-m", "quadcolor.cli", "census", "3", "--jobs", str(jobs), "--out", str(out)]
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        start = time.perf_counter()
+        try:
+            proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                                  timeout=RUN_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return {"jobs": jobs, "error": f"no result within {RUN_TIMEOUT_S} s"}
+        wall = time.perf_counter() - start
+        # the census process has reaped its pool workers, so their CPU time is in here
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        if proc.returncode != 0:
+            return {"jobs": jobs, "error": f"exit code {proc.returncode}: {proc.stderr.strip()[-300:]}"}
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return {
+        "jobs": jobs,
+        "correct": digest == FULL_N3_SHA256,
+        "sha256": digest,
+        "summary": json.loads(proc.stdout.strip().splitlines()[-1]),
+        "metrics": {"wall_s": wall, "cpu_s": cpu},
+    }
+
+
+def _alternated(checkouts: list, keys: list, pairs: int, measure, label) -> dict:
+    """Runs by (checkout number, key): measure(checkout, key, i) for i below
+    ``pairs``, every checkout back to back, the order flipping with i."""
+    runs = {(c, key): [] for c in range(len(checkouts)) for key in keys}
+    for key in keys:
+        for i in range(pairs):
+            order = list(range(len(checkouts)))
+            if i % 2:
+                order.reverse()
+            for position, c in enumerate(order):
+                run = measure(checkouts[c], key, i)
+                run["position"] = position
+                runs[c, key].append(run)
+                if "error" in run:
+                    outcome = run["error"]
+                else:
+                    outcome = f"wall_s {run['metrics']['wall_s']:.4g}, correct {run['correct']}"
+                print(f"{label(key, i)} checkout {c}: {outcome}", flush=True)
+    return runs
 
 
 def _summary(runs: list, metrics: list) -> dict:
@@ -133,32 +204,32 @@ def main() -> int:
     ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     names = [w["name"] for w in spec["workloads"]]
-    ap.add_argument("--workloads", nargs="+", choices=names, default=names, metavar="W",
+    ap.add_argument("--workloads", nargs="*", choices=names, default=names, metavar="W",
                     help=f"workloads to record, from {', '.join(names)} (default: all)")
+    ap.add_argument("--full-census", type=int, default=0, metavar="K",
+                    help="also run the whole n=3 census K times per checkout at jobs 1 and 2")
     args = ap.parse_args()
     workloads = [w for w in names if w in args.workloads]
     seconds = spec["run_seconds"]
     checkouts = [path.resolve() for path in args.checkouts]
 
-    runs = {(c, w): [] for c in range(len(checkouts)) for w in workloads}
-    for workload in workloads:
-        for i, seed in enumerate(args.seeds):
-            order = list(range(len(checkouts)))
-            if i % 2:
-                order.reverse()
-            for position, c in enumerate(order):
-                run = _run(checkouts[c], workload, seed, seconds)
-                run["position"] = position
-                runs[c, workload].append(run)
-                if "error" in run:
-                    outcome = run["error"]
-                else:
-                    outcome = f"wall_s {run['metrics']['wall_s']:.4g}, correct {run['correct']}"
-                print(f"{workload} seed {seed} checkout {c}: {outcome}", flush=True)
+    runs = _alternated(
+        checkouts, workloads, len(args.seeds),
+        lambda checkout, w, i: _run(checkout, w, args.seeds[i], seconds),
+        lambda w, i: f"{w} seed {args.seeds[i]}",
+    )
+    full_jobs = {f"full-n3 jobs={jobs}": jobs for jobs in FULL_JOBS} if args.full_census else {}
+    full = _alternated(
+        checkouts, list(full_jobs), args.full_census,
+        lambda checkout, key, i: _full_census(checkout, full_jobs[key]),
+        lambda key, i: f"{key} run {i + 1}",
+    )
+    measured = [(w, runs, spec["end_to_end"]) for w in workloads]
+    measured += [(key, full, FULL_METRICS) for key in full_jobs]
 
     record = {
         "recorded_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "command": "perfbench/run.py --trace 0",
+        "command": "perfbench/run.py --trace 0; full-n3: python -m quadcolor.cli census 3 --jobs J",
         "seconds": seconds,
         "seeds": args.seeds,
         "environment": {
@@ -171,19 +242,17 @@ def main() -> int:
         "checkouts": [
             {
                 "commit": _commit(checkout),
-                "pinned_hashes": _pinned_hashes(checkout),
+                "pinned_hashes": {**_pinned_hashes(checkout), "FULL_N3_SHA256": FULL_N3_SHA256},
                 "workloads": {
-                    w: {"summary": _summary(runs[c, w], spec["end_to_end"]), "runs": runs[c, w]}
-                    for w in workloads
+                    w: {"summary": _summary(r[c, w], metrics), "runs": r[c, w]}
+                    for w, r, metrics in measured
                 },
             }
             for c, checkout in enumerate(checkouts)
         ],
     }
     if len(checkouts) == 2:
-        record["comparison"] = {
-            w: _comparison(runs[0, w], runs[1, w], spec["end_to_end"]) for w in workloads
-        }
+        record["comparison"] = {w: _comparison(r[0, w], r[1, w], metrics) for w, r, metrics in measured}
         for w, metrics in record["comparison"].items():
             for name, c in metrics.items():
                 q1, q3 = c["parent_quartiles"]
@@ -192,7 +261,7 @@ def main() -> int:
                     f"{c['change_median']:.4g}, won {c['won']} lost {c['lost']} tied {c['tied']}"
                 )
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    failed = sum(1 for r in runs.values() for run in r if not run.get("correct"))
+    failed = sum(1 for r in (*runs.values(), *full.values()) for run in r if not run.get("correct"))
     print(f"wrote {args.out}; {failed} run(s) failed or were incorrect")
     return 1 if failed else 0
 

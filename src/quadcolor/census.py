@@ -7,8 +7,9 @@ of a system goes through its canonical form, so each isomorphism class is
 classified once per census process however the index range is cut into
 chunks, and every member of a class receives the same verdict.  The
 origin and H are constant over each run of 2^(n^2) consecutive indices, so
-the canonicalizing bijections are worked out once per run and each system
-then costs one renaming of its V mask.
+the canonicalizing bijections are worked out once per run, the V masks of
+the run are renamed by them in one pass through small per-row tables, and
+each system then costs a few table reads and one class-table lookup.
 
 Output is JSON lines, one record per system, written and flushed one
 chunk at a time.  A cursor sidecar, written once when the file is created,
@@ -22,6 +23,8 @@ import json
 import multiprocessing
 import os
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
+from itertools import repeat
 from typing import Iterator, Optional
 
 from .fileio import (
@@ -39,10 +42,8 @@ from .systems import (
     HasColoring,
     InputError,
     Verdict,
-    _class_id,
     _is_int,
     _least_h,
-    _permute_mask,
     canonicalize,  # not called here; perfbench/tracing.py wraps census.canonicalize
 )
 
@@ -110,15 +111,6 @@ class MuEstimate:
 # -- classification -----------------------------------------------------------
 
 
-def _rows_back(rows: tuple, perm: tuple) -> tuple:
-    """A canonical form's witness rows, mapped back through the inverse of
-    the bijection perm that took a system to that form."""
-    back = [0] * len(perm)
-    for c, pc in enumerate(perm):
-        back[pc] = c
-    return tuple(tuple(back[c] for c in row) for row in rows)
-
-
 def census_records(
     n: int,
     budget: SearchBudget,
@@ -131,28 +123,34 @@ def census_records(
     isomorphism class; witnesses are relabeled back through the
     canonicalizing bijection so they certify the actual system in the
     record.  Canonicalization runs once per run of equal (origin, H).
+    The range is checked here, when the call is made, not at the first
+    record.
     """
-    for index, cid, perm, verdict in _classified(n, budget, start, stop, {}):
-        if isinstance(verdict, HasColoring):
-            w = verdict.witness
-            verdict = HasColoring(replace(w, rows=_rows_back(w.rows, perm)))
-        yield CensusRecord(
-            system_index=index, system=system_at(n, index), verdict=verdict, canonical_id=cid
+    stop = _record_range(n, start, stop)
+    return (
+        CensusRecord(
+            system_index=index,
+            system=system_at(n, index),
+            verdict=_relabeled(verdict, perm),
+            canonical_id=cid,
         )
+        for index, cid, perm, verdict in _classified(n, budget, start, stop, {})
+    )
 
 
-def _classified(
-    n: int, budget: SearchBudget, start: int, stop: Optional[int], classes: dict
-) -> Iterator[tuple[int, str, tuple, Verdict]]:
-    """(index, canonical id, bijection, class verdict) for systems start..stop-1.
+def _relabeled(verdict: Verdict, perm: tuple) -> Verdict:
+    """A class verdict as the system that perm took to the class's
+    canonical form sees it: a witness's cells go back through perm's inverse."""
+    if not isinstance(verdict, HasColoring):
+        return verdict
+    w = verdict.witness
+    back = _back(perm)[0]
+    return HasColoring(replace(w, rows=tuple(tuple(map(back.__getitem__, row)) for row in w.rows)))
 
-    The id and bijection are those of canonicalize(system_at(n, index)); the
-    verdict is the canonical form's, looked up in or added to ``classes``.
-    Origin and H are fixed over each run of 2^(n^2) indices, so
-    systems._least_h finds the least perm(H) and the bijections reaching it
-    once per run; a system's key is then the least (perm(V), perm) over
-    those ties, as in canonicalize.
-    """
+
+def _record_range(n: int, start: int, stop: Optional[int]) -> int:
+    """stop, or the census size when stop is None, once start..stop-1 is
+    checked to be a range of system indices at color count n."""
     total = total_systems(n)
     if not (_is_int(start) and (stop is None or _is_int(stop))):
         raise InputError(f"record range start={start!r}, stop={stop!r}: ends must be ints, stop may be None")
@@ -160,31 +158,91 @@ def _classified(
         stop = total
     if not 0 <= start <= stop <= total:
         raise InputError(f"record range [{start}, {stop}) outside [0, {total}]")
+    return stop
+
+
+# Both per-bijection caches, _back and _row_tables, hold at most 128
+# bijections: every one up to n = 5, and a few MB of row tables at n = 8,
+# where one bijection's tables hold 8 * 256 entries.
+@lru_cache(maxsize=128)
+def _back(perm: tuple) -> tuple[tuple, tuple]:
+    """perm's inverse as a color map, and the same map into the decimal
+    strings a record line writes: a canonical color's preimage and its digits."""
+    back = [0] * len(perm)
+    for c, pc in enumerate(perm):
+        back[pc] = c
+    return tuple(back), tuple(map(str, back))
+
+
+@lru_cache(maxsize=128)
+def _row_tables(perm: tuple) -> tuple:
+    """perm's renaming of a relation mask, one table per row: entry m of
+    table a is the image of the pairs (a, b) for the bits b set in m.  A
+    mask's image is the union of its rows' entries; n tables of 2^n entries."""
+    n = len(perm)
+    cols = [0]
+    for pb in perm:
+        bit = 1 << pb
+        cols += [c | bit for c in cols]
+    return tuple([c << pa * n for c in cols] for pa in perm)
+
+
+def _renamed(tables: tuple, n: int, lo: int, hi: int) -> list:
+    """[perm(V) for V in lo..hi-1], from perm's row tables (_row_tables).
+    V's low n bits are its row 0 and V >> n holds the rows above, so the
+    images are those of the upper rows' range, each joined with every row-0
+    entry, trimmed to the range: one pass per row."""
+    low = tables[0]
+    if len(tables) == 1:
+        return low[lo:hi]
+    highs = _renamed(tables[1:], n, lo >> n, ((hi - 1) >> n) + 1)
+    skip = lo & ((1 << n) - 1)
+    return [h | x for h in highs for x in low][skip : skip + hi - lo]
+
+
+def _classified(
+    n: int, budget: SearchBudget, start: int, stop: int, classes: dict
+) -> Iterator[tuple[int, str, tuple, Verdict]]:
+    """(index, canonical id, bijection, class verdict) for systems start..stop-1,
+    a range that _record_range accepts.
+
+    The id and bijection are those of canonicalize(system_at(n, index)); the
+    verdict is the canonical form's, looked up in or added to ``classes``.
+    Origin and H are fixed over each run of 2^(n^2) indices, so
+    systems._least_h finds the least perm(H) and the bijections tied on it
+    once per run.  Each tied perm renames the run's V masks in one pass
+    (_renamed), and a system's key is the least (perm(V), perm) over the
+    ties, as in canonicalize: equal images keep the first bijection.  The
+    id is the run's prefix and the canonical V in hex.
+    """
     bits = n * n
     run = 1 << bits
     for base in range(start - start % run, stop, run):
         origin, h_mask = divmod(base >> bits, run)
         canon_h, ties = _least_h(n, origin, h_mask)
-        for v_mask in range(max(start - base, 0), min(stop - base, run)):
-            canon_v, perm = min((_permute_mask(v_mask, p, n), p) for p in ties)
-            key = canon_h << bits | canon_v
-            verdict = classes.get(key)
+        lo, hi = max(start - base, 0), min(stop - base, run)
+        keyed = [zip(_renamed(_row_tables(p), n, lo, hi), repeat(p)) for p in ties]
+        keys = map(min, *keyed) if len(keyed) > 1 else keyed[0]
+        high = canon_h << bits
+        prefix = f"{n}.0.{canon_h:x}."
+        for index, (canon_v, perm) in enumerate(keys, base + lo):
+            verdict = classes.get(high | canon_v)
             if verdict is None:
-                verdict = classes[key] = classify(ColoringSystem(n, 0, canon_h, canon_v), budget)
-            yield base + v_mask, _class_id(n, 0, canon_h, canon_v), perm, verdict
+                verdict = classes[high | canon_v] = classify(ColoringSystem(n, 0, canon_h, canon_v), budget)
+            yield index, f"{prefix}{canon_v:x}", perm, verdict
 
 
 # -- record lines ---------------------------------------------------------------
 
 
 def record_line(rec: CensusRecord) -> str:
-    return _line(rec.system_index, rec.canonical_id, rec.verdict)
+    return _line(rec.system_index, rec.canonical_id, rec.verdict, tuple(range(rec.system.n)))
 
 
-def _line(index: int, cid: str, verdict: Verdict, perm: Optional[tuple] = None) -> str:
-    """The record line of system ``index``.  With ``perm``, the verdict is its
-    class's and perm took the system to the class's canonical form, so a
-    witness's cells are written mapped back through perm's inverse."""
+def _line(index: int, cid: str, verdict: Verdict, perm: tuple) -> str:
+    """The record line of system ``index``, whose verdict is its class's:
+    perm took the system to the class's canonical form, so a witness's
+    cells are written as the digits of their preimages under perm."""
     # Formatted by hand, several times faster than json.dumps.  It must stay
     # byte-equal to the compact form json.dumps(obj, separators=(",", ":")):
     # test_census.py pins census file hashes and checks every n=2 record
@@ -195,10 +253,8 @@ def _line(index: int, cid: str, verdict: Verdict, perm: Optional[tuple] = None) 
     elif isinstance(verdict, HasColoring):
         kind = "has_coloring"
         w = verdict.witness
-        rows = w.rows
-        if perm is not None:
-            rows = _rows_back(rows, perm)
-        cells = "],[".join(",".join(map(str, row)) for row in rows)
+        digits = _back(perm)[1]
+        cells = "],[".join([",".join(map(digits.__getitem__, row)) for row in w.rows])
         detail = f'{{"p":{w.p},"q":{w.q},"cells":[[{cells}]]}}'
     else:
         kind = "unknown"

@@ -2,6 +2,7 @@
 record serialization, dedupe correctness, resumable streaming, and the
 frozen small-n summaries."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -11,7 +12,7 @@ import random
 import pytest
 
 import quadcolor as qc
-from quadcolor import census
+from quadcolor import census, systems
 from quadcolor.census import census_records
 from conftest import brute_canonicalize, brute_max_length, brute_torus_colorings
 
@@ -366,6 +367,92 @@ def test_run_canonicalization_matches_canonicalize(monkeypatch):
             first_wins += ties > 1
     # V must pick among tied bijections, and equal keys keep the first one
     assert h_tied > 100 and v_broken > 100 and first_wins > 100
+
+
+def _slices(n, rng):
+    """The whole run of V masks at color count n, and slices that start and
+    end mid-run: inside one row-0 block, across one, and up to the run's end."""
+    run = 1 << n * n
+    spans = [(0, run)]
+    for length in (1, 2, (1 << n) + 3, 500):
+        lo = rng.randrange(1, max(run - length, 2))
+        spans.append((lo, min(lo + length, run)))
+    spans.append((max(run - 37, 1), run))
+    return spans
+
+
+def test_run_renaming_matches_permute_mask():
+    # the census renames a run's V masks through per-row tables; every
+    # bijection must give what systems._permute_mask gives mask by mask
+    rng = random.Random(18)
+    for n in (1, 2, 3, 4):
+        run = 1 << n * n
+        for perm in itertools.permutations(range(n)):
+            tables = census._row_tables(perm)
+            assert [len(t) for t in tables] == [1 << n] * n
+            for lo, hi in _slices(n, rng):
+                got = census._renamed(tables, n, lo, hi)
+                assert len(got) == hi - lo, (perm, lo, hi)
+                # a whole n=4 run is 65,536 masks: check it is a renaming of
+                # all of them, and compare every 37th mask
+                step = 37 if hi - lo == run and n == 4 else 1
+                if step > 1:
+                    assert sorted(got) == list(range(run))
+                for v in range(lo, hi, step):
+                    assert got[v - lo] == systems._permute_mask(v, perm, n), (perm, v)
+    # at n = 8 a run has 2^64 masks; the tables stay at n * 2^n entries
+    n = 8
+    for perm in ((0, 1, 2, 3, 4, 5, 6, 7), (0, 7, 6, 5, 4, 3, 2, 1), tuple(rng.sample(range(8), 8))):
+        tables = census._row_tables(perm)
+        assert max(map(len, tables)) * len(tables) <= n << n
+        for lo in (0, rng.randrange(1 << 63), (1 << 64) - 300):
+            hi = min(lo + 300, 1 << 64)
+            got = census._renamed(tables, n, lo, hi)
+            assert got == [systems._permute_mask(v, perm, n) for v in range(lo, hi)]
+
+
+def test_census_loop_renames_per_run_not_per_record(monkeypatch):
+    # _least_h renames each run's H once per origin-fixing bijection; the V
+    # masks cost no _permute_mask call
+    calls = []
+    real = systems._permute_mask
+
+    def counting(mask, perm, n):
+        calls.append(mask)
+        return real(mask, perm, n)
+
+    monkeypatch.setattr(systems, "_permute_mask", counting)
+    monkeypatch.setattr(census, "_classes", {})
+    runs = 6
+    lines, _ = census._chunk((3, CAPS, 512 * 40, 512 * (40 + runs)))
+    assert len(lines) == 512 * runs
+    assert len(calls) == 2 * runs  # two bijections fix the origin at n = 3
+    assert not hasattr(census, "_permute_mask") and not hasattr(census, "_class_id")
+
+
+def test_record_line_writes_every_color_of_a_wide_witness():
+    # twelve colors: the digit map must write 8, 9, 10 and 11 as well
+    n = 12
+    row = tuple(range(n))
+    witness = qc.PeriodicWitness(p=n, q=2, rows=(row, row[::-1]))
+    rec = census.CensusRecord(0, qc.ColoringSystem(n, 0, 0, 0), qc.HasColoring(witness), "12.0.0.0")
+    assert qc.record_line(rec) == _compact_json(rec)
+    assert '"cells":[[0,1,2,3,4,5,6,7,8,9,10,11],[11,10,' in qc.record_line(rec)
+    # through a bijection, each cell is written as its preimage
+    perm = tuple(random.Random(3).sample(range(n), n))
+    back = {pc: c for c, pc in enumerate(perm)}
+    relabeled = qc.PeriodicWitness(n, 2, tuple(tuple(back[c] for c in r) for r in witness.rows))
+    expected = dataclasses.replace(rec, verdict=qc.HasColoring(relabeled))
+    assert census._line(0, rec.canonical_id, rec.verdict, perm) == _compact_json(expected)
+
+
+def test_census_records_checks_its_range_when_called():
+    # census_records is not a generator: a bad range fails at the call
+    for start, stop in ((5.0, None), (0, 10**9), (-1, 3), (4, 3), (0, True)):
+        with pytest.raises(qc.InputError, match="record range"):
+            census_records(2, CAPS, start, stop)
+    with pytest.raises(qc.InputError):
+        census_records(9, CAPS)
 
 
 def _direct_lines(n, budget, start, stop):

@@ -137,9 +137,13 @@ def test_search_lengths_must_be_ints(length):
             qc.run_census(2, SMALL, stop_after=length)
         with pytest.raises(qc.InputError, match="stop|record range"):
             next(qc.census_records(2, SMALL, 0, length))
+        with pytest.raises(qc.InputError, match="stop|record range"):
+            qc.census_records(2, SMALL, 0, length)  # at the call, before any record
     if length != 0:
         with pytest.raises(qc.InputError, match="start|record range"):
             next(qc.census_records(2, SMALL, length, 3))
+        with pytest.raises(qc.InputError, match="start|record range"):
+            qc.census_records(2, SMALL, length, 3)
 
 
 @given(system_strategy(max_colors=3), st.integers(1, 7))
