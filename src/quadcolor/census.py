@@ -162,8 +162,8 @@ def _record_range(n: int, start: int, stop: Optional[int]) -> int:
 
 
 # Both per-bijection caches, _back and _row_tables, hold at most 128
-# bijections: every one up to n = 5, and a few MB of row tables at n = 8,
-# where one bijection's tables hold 8 * 256 entries.
+# bijections: every one up to n = 5, and about 12 MB of row tables at
+# n = 8, where one bijection's tables hold 8 * 256 entries.
 @lru_cache(maxsize=128)
 def _back(perm: tuple) -> tuple[tuple, tuple]:
     """perm's inverse as a color map, and the same map into the decimal
