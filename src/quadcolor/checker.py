@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .diagonal import tile_at
+from .diagonal import _tile_by_isqrt
 from .systems import ColoringSystem, InputError, PeriodicWitness, TriangleColoring, _is_int
 
 
@@ -70,7 +70,7 @@ def _first_violation(sys: ColoringSystem, seq: Sequence[int]) -> Optional[Violat
     if seq[0] != sys.origin:
         return Violation("origin", 0, (0, 0), None, (seq[0],))
     for k in range(1, len(seq)):
-        x, y = tile_at(k)
+        x, y = _tile_by_isqrt(k)
         s = x + y
         # left neighbor has index k-s-1, below neighbor k-s; both precede k.
         if x > 0:

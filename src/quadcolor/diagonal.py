@@ -15,9 +15,10 @@ Everything here is integer arithmetic; no floating point is involved, so
 the maps are exact over the whole supported range.
 
 ``_geometry`` is the package's one tile table: the column and anti-diagonal
-of each index, read off ``tile_at`` once and shared by the searches, the
-triangle rows and witness unrolling.  The checker decodes with ``tile_at``
-alone, so it shares no table with what it judges.
+of each index, grown by whole anti-diagonals and shared by ``tile_at``
+(below ``TABLE_CAP``), the searches, the triangle rows and witness
+unrolling.  The checker decodes with ``_tile_by_isqrt`` alone, so it shares
+no table with what it judges.
 """
 
 from __future__ import annotations
@@ -39,6 +40,15 @@ def triangular(m: int) -> int:
 
 def tile_index(x: int, y: int) -> int:
     """Diagonal index of tile (x, y): triangular(x+y) + x."""
+    if x >= 0 <= y:
+        try:
+            return _STARTS[x + y] + x
+        except (IndexError, TypeError):
+            pass
+    return _index_by_formula(x, y)
+
+
+def _index_by_formula(x: int, y: int) -> int:
     if x < 0 or y < 0:
         raise ValueError(f"tile coordinates must be non-negative, got ({x}, {y})")
     s = x + y
@@ -55,21 +65,43 @@ def diagonal_of(k: int) -> int:
 
 def tile_at(k: int) -> tuple[int, int]:
     """Inverse of tile_index: the tile carrying diagonal index k."""
+    if k >= 0:
+        xs, ss = _GEOMETRY
+        try:
+            x = xs[k]
+        except IndexError:
+            if k >= TABLE_CAP:
+                return _tile_by_isqrt(k)
+            xs, ss = _geometry(k + 1)
+            x = xs[k]
+        return x, ss[k] - x
+    return _tile_by_isqrt(k)
+
+
+def _tile_by_isqrt(k: int) -> tuple[int, int]:
+    """tile_at by arithmetic alone, with no table."""
     if k < 0:
         raise ValueError(f"tile index must be non-negative, got {k}")
     if k > MAX_INDEX:
         raise ValueError(f"tile index {k} outside supported range [0, {MAX_INDEX}]")
-    # isqrt is exact, so no off-by-one correction.  No table: the checker
-    # decodes each tile it judges here, and the codec test times 10^6 calls.
+    # isqrt is exact, so no off-by-one correction
     m = (isqrt(8 * k + 1) - 1) // 2
     x = k - m * (m + 1) // 2
     return x, m - x
 
 
-# _GEOMETRY[0][k], _GEOMETRY[1][k]: column and anti-diagonal of tile index k,
-# shared by every walk over the tiles and read off tile_at.  It grows by
-# rebinding a longer table, never in place, so a search in another thread
-# never sees a half-grown one.
+# _STARTS[s]: the index of tile (0, s), the first on anti-diagonal s.
+_STARTS = [s * (s + 1) // 2 for s in range(1 << 12)]
+
+# tile_at grows the shared table only for indices below this; larger ones
+# are decoded by arithmetic.  The table costs two list slots per index: its
+# ints are shared, one object per column and per anti-diagonal.
+TABLE_CAP = 1 << 20
+
+# _GEOMETRY[0][k], _GEOMETRY[1][k]: column and anti-diagonal of tile index k.
+# It always ends on a whole anti-diagonal, and grows by rebinding a longer
+# table, never in place, so a search in another thread never sees a
+# half-grown one.
 _GEOMETRY: tuple[list, list] = ([0], [0])
 
 
@@ -78,7 +110,14 @@ def _geometry(upto: int) -> tuple[list, list]:
     global _GEOMETRY
     xs, ss = _GEOMETRY
     if len(xs) < upto:
-        tiles = [tile_at(k) for k in range(max(upto, 2 * len(xs)))]
-        xs, ss = [x for x, _ in tiles], [x + y for x, y in tiles]
+        target = max(upto, min(2 * len(xs), TABLE_CAP))
+        s = ss[-1]
+        columns = xs[-s - 1:]
+        xs, ss = xs[:], ss[:]
+        while len(xs) < target:
+            s += 1
+            columns.append(s)
+            xs += columns
+            ss += [s] * (s + 1)
         _GEOMETRY = (xs, ss)
     return xs, ss

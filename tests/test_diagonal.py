@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tile_strategy
-from quadcolor import diagonal_of, tile_at, tile_index, triangular
+from quadcolor import diagonal, diagonal_of, tile_at, tile_index, triangular
 from quadcolor.diagonal import MAX_COORD_SUM
 
 # the 15 tiles of the worked counting figure, bottom-left corner of the grid
@@ -85,3 +85,21 @@ def test_large_indices_stay_exact():
     for k in (2**52, 2**53 + 1, 2**60, 2**61 - 3):
         x, y = tile_at(k)
         assert tile_index(x, y) == k
+
+
+def test_table_agrees_with_isqrt_and_stops_at_the_cap():
+    # the shared table ends on a whole anti-diagonal and decodes exactly as
+    # the arithmetic path, which the checker uses
+    xs, ss = diagonal._geometry(1 << 16)
+    assert xs[-1] == ss[-1]
+    assert list(zip(xs, [s - x for x, s in zip(xs, ss)])) == [
+        diagonal._tile_by_isqrt(k) for k in range(len(xs))
+    ]
+    # tile_at grows the table on demand below the cap, on both sides of
+    # each power of two, and decodes by arithmetic above it
+    for k in [k for e in range(21) for k in (2**e - 1, 2**e, 2**e + 1)]:
+        assert tile_at(k) == diagonal._tile_by_isqrt(k), k
+    size = len(diagonal._GEOMETRY[0])
+    assert size <= diagonal.TABLE_CAP + diagonal.isqrt(2 * diagonal.TABLE_CAP) + 1
+    assert tile_at(2 * diagonal.TABLE_CAP) == diagonal._tile_by_isqrt(2 * diagonal.TABLE_CAP)
+    assert len(diagonal._GEOMETRY[0]) == size
