@@ -8,8 +8,9 @@ classified once per census process however the index range is cut into
 chunks, and every member of a class receives the same verdict.  The
 origin and H are constant over each run of 2^(n^2) consecutive indices, so
 the canonicalizing bijections are worked out once per run, the V masks of
-the run are renamed by them in one pass through small per-row tables, and
-each system then costs a few table reads and one class-table lookup.
+the run are renamed by them a bounded slice at a time, one pass through a
+small per-bijection column table, and each system then costs a few table
+reads and one class-table lookup.
 
 Output is JSON lines, one record per system, written and flushed one
 chunk at a time.  A cursor sidecar, written once when the file is created,
@@ -161,9 +162,8 @@ def _record_range(n: int, start: int, stop: Optional[int]) -> int:
     return stop
 
 
-# Both per-bijection caches, _back and _row_tables, hold at most 128
-# bijections: every one up to n = 5, and about 12 MB of row tables at
-# n = 8, where one bijection's tables hold 8 * 256 entries.
+# Both per-bijection caches, _back and _columns, hold at most 128
+# bijections: every one up to n = 5, and 2^n entries each beyond.
 @lru_cache(maxsize=128)
 def _back(perm: tuple) -> tuple[tuple, tuple]:
     """perm's inverse as a color map, and the same map into the decimal
@@ -175,29 +175,40 @@ def _back(perm: tuple) -> tuple[tuple, tuple]:
 
 
 @lru_cache(maxsize=128)
-def _row_tables(perm: tuple) -> tuple:
-    """perm's renaming of a relation mask, one table per row: entry m of
-    table a is the image of the pairs (a, b) for the bits b set in m.  A
-    mask's image is the union of its rows' entries; n tables of 2^n entries."""
+def _columns(perm: tuple) -> tuple[list, tuple]:
+    """perm's renaming of one row of a relation mask: entry m of the table is
+    the image of the columns b set in m, 2^n entries.  Row a of a mask holds
+    its pairs (a, b), and its image goes to row perm[a], the given shift."""
     n = len(perm)
     cols = [0]
     for pb in perm:
         bit = 1 << pb
         cols += [c | bit for c in cols]
-    return tuple([c << pa * n for c in cols] for pa in perm)
+    return cols, tuple(pa * n for pa in perm)
 
 
-def _renamed(tables: tuple, n: int, lo: int, hi: int) -> list:
-    """[perm(V) for V in lo..hi-1], from perm's row tables (_row_tables).
-    V's low n bits are its row 0 and V >> n holds the rows above, so the
-    images are those of the upper rows' range, each joined with every row-0
-    entry, trimmed to the range: one pass per row."""
-    low = tables[0]
-    if len(tables) == 1:
-        return low[lo:hi]
-    highs = _renamed(tables[1:], n, lo >> n, ((hi - 1) >> n) + 1)
-    skip = lo & ((1 << n) - 1)
+def _renamed(cols: list, shifts: tuple, lo: int, hi: int) -> list:
+    """[perm(V) for V in lo..hi-1], from perm's _columns.  V's low n bits are
+    its row 0 and V >> n holds the rows above, so the images are those of
+    the upper rows' range, each joined with the row-0 images, trimmed to the
+    range: one pass per row, over no more of row 0 than a short range needs."""
+    shift = shifts[0]
+    if len(shifts) == 1:
+        return [c << shift for c in cols[lo:hi]]
+    n = len(cols).bit_length() - 1
+    top, last = lo >> n, (hi - 1) >> n
+    highs = _renamed(cols, shifts[1:], top, last + 1)
+    mask = (1 << n) - 1
+    if top == last:
+        return [highs[0] | c << shift for c in cols[lo & mask : (hi - 1 & mask) + 1]]
+    low = [c << shift for c in cols]
+    skip = lo & mask
     return [h | x for h in highs for x in low][skip : skip + hi - lo]
+
+
+# Most renamed V masks held at once, summed over a run's tied bijections.
+# At n = 8 a run has 2^64 masks and as many as 7! = 5,040 ties.
+_RENAMED_CAP = 1 << 16
 
 
 def _classified(
@@ -210,8 +221,9 @@ def _classified(
     verdict is the canonical form's, looked up in or added to ``classes``.
     Origin and H are fixed over each run of 2^(n^2) indices, so
     systems._least_h finds the least perm(H) and the bijections tied on it
-    once per run.  Each tied perm renames the run's V masks in one pass
-    (_renamed), and a system's key is the least (perm(V), perm) over the
+    once per run.  The run is walked in slices of _RENAMED_CAP // len(ties)
+    V masks, so records stream however long the run; each tied perm renames
+    a slice in one pass (_renamed), and a system's key is the least (perm(V), perm) over the
     ties, as in canonicalize: equal images keep the first bijection.  The
     id is the run's prefix and the canonical V in hex.
     """
@@ -220,16 +232,19 @@ def _classified(
     for base in range(start - start % run, stop, run):
         origin, h_mask = divmod(base >> bits, run)
         canon_h, ties = _least_h(n, origin, h_mask)
-        lo, hi = max(start - base, 0), min(stop - base, run)
-        keyed = [zip(_renamed(_row_tables(p), n, lo, hi), repeat(p)) for p in ties]
-        keys = map(min, *keyed) if len(keyed) > 1 else keyed[0]
         high = canon_h << bits
         prefix = f"{n}.0.{canon_h:x}."
-        for index, (canon_v, perm) in enumerate(keys, base + lo):
-            verdict = classes.get(high | canon_v)
-            if verdict is None:
-                verdict = classes[high | canon_v] = classify(ColoringSystem(n, 0, canon_h, canon_v), budget)
-            yield index, f"{prefix}{canon_v:x}", perm, verdict
+        step = max(1, _RENAMED_CAP // len(ties))
+        end = min(stop - base, run)
+        for lo in range(max(start - base, 0), end, step):
+            hi = min(lo + step, end)
+            keyed = [zip(_renamed(*_columns(p), lo, hi), repeat(p)) for p in ties]
+            keys = map(min, *keyed) if len(keyed) > 1 else keyed[0]
+            for index, (canon_v, perm) in enumerate(keys, base + lo):
+                verdict = classes.get(high | canon_v)
+                if verdict is None:
+                    verdict = classes[high | canon_v] = classify(ColoringSystem(n, 0, canon_h, canon_v), budget)
+                yield index, f"{prefix}{canon_v:x}", perm, verdict
 
 
 # -- record lines ---------------------------------------------------------------

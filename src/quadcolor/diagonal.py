@@ -72,7 +72,8 @@ def tile_at(k: int) -> tuple[int, int]:
         except IndexError:
             if k >= TABLE_CAP:
                 return _tile_by_isqrt(k)
-            xs, ss = _geometry(k + 1)
+            # doubling, as _geometry grows it, but never past the cap
+            xs, ss = _grown(min(max(k + 1, 2 * len(xs)), TABLE_CAP))
             x = xs[k]
         return x, ss[k] - x
     return _tile_by_isqrt(k)
@@ -106,18 +107,25 @@ _GEOMETRY: tuple[list, list] = ([0], [0])
 
 
 def _geometry(upto: int) -> tuple[list, list]:
-    """The shared (columns, anti-diagonals) table, at least upto long."""
-    global _GEOMETRY
+    """The shared (columns, anti-diagonals) table, at least upto long.  It
+    at least doubles when it grows, so growth costs O(1) per entry."""
     xs, ss = _GEOMETRY
     if len(xs) < upto:
-        target = max(upto, min(2 * len(xs), TABLE_CAP))
-        s = ss[-1]
-        columns = xs[-s - 1:]
-        xs, ss = xs[:], ss[:]
-        while len(xs) < target:
-            s += 1
-            columns.append(s)
-            xs += columns
-            ss += [s] * (s + 1)
-        _GEOMETRY = (xs, ss)
+        xs, ss = _grown(max(upto, 2 * len(xs)))
+    return xs, ss
+
+
+def _grown(target: int) -> tuple[list, list]:
+    """Grow the shared table by whole anti-diagonals to at least target."""
+    global _GEOMETRY
+    xs, ss = _GEOMETRY
+    s = ss[-1]
+    columns = xs[-s - 1:]
+    xs, ss = xs[:], ss[:]
+    while len(xs) < target:
+        s += 1
+        columns.append(s)
+        xs += columns
+        ss += [s] * (s + 1)
+    _GEOMETRY = (xs, ss)
     return xs, ss

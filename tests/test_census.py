@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import random
+import time
 
 import pytest
 
@@ -382,16 +383,16 @@ def _slices(n, rng):
 
 
 def test_run_renaming_matches_permute_mask():
-    # the census renames a run's V masks through per-row tables; every
-    # bijection must give what systems._permute_mask gives mask by mask
+    # the census renames a run's V masks through a per-bijection column
+    # table; every bijection must give what systems._permute_mask gives
     rng = random.Random(18)
     for n in (1, 2, 3, 4):
         run = 1 << n * n
         for perm in itertools.permutations(range(n)):
-            tables = census._row_tables(perm)
-            assert [len(t) for t in tables] == [1 << n] * n
+            cols, shifts = census._columns(perm)
+            assert len(cols) == 1 << n
             for lo, hi in _slices(n, rng):
-                got = census._renamed(tables, n, lo, hi)
+                got = census._renamed(cols, shifts, lo, hi)
                 assert len(got) == hi - lo, (perm, lo, hi)
                 # a whole n=4 run is 65,536 masks: check it is a renaming of
                 # all of them, and compare every 37th mask
@@ -400,15 +401,38 @@ def test_run_renaming_matches_permute_mask():
                     assert sorted(got) == list(range(run))
                 for v in range(lo, hi, step):
                     assert got[v - lo] == systems._permute_mask(v, perm, n), (perm, v)
-    # at n = 8 a run has 2^64 masks; the tables stay at n * 2^n entries
+    # at n = 8 a run has 2^64 masks; the table stays at 2^n entries, well
+    # under n * 2^n, and short slices rename as long ones do
     n = 8
     for perm in ((0, 1, 2, 3, 4, 5, 6, 7), (0, 7, 6, 5, 4, 3, 2, 1), tuple(rng.sample(range(8), 8))):
-        tables = census._row_tables(perm)
-        assert max(map(len, tables)) * len(tables) <= n << n
+        cols, shifts = census._columns(perm)
+        assert len(cols) <= n << n
         for lo in (0, rng.randrange(1 << 63), (1 << 64) - 300):
-            hi = min(lo + 300, 1 << 64)
-            got = census._renamed(tables, n, lo, hi)
-            assert got == [systems._permute_mask(v, perm, n) for v in range(lo, hi)]
+            for length in (1, 2, 300):
+                hi = min(lo + length, 1 << 64)
+                got = census._renamed(cols, shifts, lo, hi)
+                assert got == [systems._permute_mask(v, perm, n) for v in range(lo, hi)]
+
+
+def test_census_records_stream_from_long_runs(monkeypatch):
+    # a run holds 2^(n^2) systems, and with H = 0 every origin-fixing
+    # bijection ties (24 at n = 5, 5,040 at n = 8): records still come one
+    # short slice at a time, each as canonical_id and system_at give it
+    real = census._renamed
+
+    def bounded(cols, shifts, lo, hi):
+        assert hi - lo <= census._RENAMED_CAP, (lo, hi)
+        return real(cols, shifts, lo, hi)
+
+    monkeypatch.setattr(census, "_renamed", bounded)
+    for n, start in ((5, 0), (5, (1 << 25) - 2), (8, 0), (8, 3 << 64)):
+        t0 = time.perf_counter()
+        records = census_records(n, qc.SearchBudget(), start)
+        got = [next(records) for _ in range(3)]
+        assert time.perf_counter() - t0 < 10.0, n
+        for index, rec in enumerate(got, start):
+            assert rec.system_index == index and rec.system == census.system_at(n, index)
+            assert rec.canonical_id == qc.canonical_id(rec.system)
 
 
 def test_census_loop_renames_per_run_not_per_record(monkeypatch):

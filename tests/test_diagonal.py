@@ -87,9 +87,12 @@ def test_large_indices_stay_exact():
         assert tile_index(x, y) == k
 
 
-def test_table_agrees_with_isqrt_and_stops_at_the_cap():
-    # the shared table ends on a whole anti-diagonal and decodes exactly as
-    # the arithmetic path, which the checker uses
+def test_table_agrees_with_isqrt_and_stops_at_the_cap(monkeypatch):
+    # a fresh shared table, restored afterwards, so other tests' growth
+    # does not move the sizes checked here
+    monkeypatch.setattr(diagonal, "_GEOMETRY", ([0], [0]))
+    # the table ends on a whole anti-diagonal and decodes exactly as the
+    # arithmetic path, which the checker uses
     xs, ss = diagonal._geometry(1 << 16)
     assert xs[-1] == ss[-1]
     assert list(zip(xs, [s - x for x, s in zip(xs, ss)])) == [
@@ -100,6 +103,10 @@ def test_table_agrees_with_isqrt_and_stops_at_the_cap():
     for k in [k for e in range(21) for k in (2**e - 1, 2**e, 2**e + 1)]:
         assert tile_at(k) == diagonal._tile_by_isqrt(k), k
     size = len(diagonal._GEOMETRY[0])
-    assert size <= diagonal.TABLE_CAP + diagonal.isqrt(2 * diagonal.TABLE_CAP) + 1
+    assert diagonal.TABLE_CAP <= size <= diagonal.TABLE_CAP + diagonal.isqrt(2 * diagonal.TABLE_CAP) + 1
     assert tile_at(2 * diagonal.TABLE_CAP) == diagonal._tile_by_isqrt(2 * diagonal.TABLE_CAP)
     assert len(diagonal._GEOMETRY[0]) == size
+    # the searches' _geometry still at least doubles the table past the cap
+    xs, ss = diagonal._geometry(size + 1)
+    assert len(xs) >= 2 * size and xs[-1] == ss[-1]
+    assert tile_at(len(xs) - 1) == diagonal._tile_by_isqrt(len(xs) - 1)
