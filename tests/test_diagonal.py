@@ -88,23 +88,25 @@ def test_large_indices_stay_exact():
 
 
 def test_table_agrees_with_isqrt_and_stops_at_the_cap(monkeypatch):
-    # a fresh shared table, restored afterwards, so other tests' growth
-    # does not move the sizes checked here
+    # a fresh shared table and a small cap, both restored afterwards, so
+    # other tests' growth does not move the sizes checked here
+    cap = 1 << 12
     monkeypatch.setattr(diagonal, "_GEOMETRY", ([0], [0]))
+    monkeypatch.setattr(diagonal, "TABLE_CAP", cap)
     # the table ends on a whole anti-diagonal and decodes exactly as the
     # arithmetic path, which the checker uses
-    xs, ss = diagonal._geometry(1 << 16)
+    xs, ss = diagonal._geometry(1 << 10)
     assert xs[-1] == ss[-1]
     assert list(zip(xs, [s - x for x, s in zip(xs, ss)])) == [
         diagonal._tile_by_isqrt(k) for k in range(len(xs))
     ]
     # tile_at grows the table on demand below the cap, on both sides of
     # each power of two, and decodes by arithmetic above it
-    for k in [k for e in range(21) for k in (2**e - 1, 2**e, 2**e + 1)]:
+    for k in [k for e in range(14) for k in (2**e - 1, 2**e, 2**e + 1)]:
         assert tile_at(k) == diagonal._tile_by_isqrt(k), k
     size = len(diagonal._GEOMETRY[0])
-    assert diagonal.TABLE_CAP <= size <= diagonal.TABLE_CAP + diagonal.isqrt(2 * diagonal.TABLE_CAP) + 1
-    assert tile_at(2 * diagonal.TABLE_CAP) == diagonal._tile_by_isqrt(2 * diagonal.TABLE_CAP)
+    assert cap <= size <= cap + diagonal.isqrt(2 * cap) + 1
+    assert tile_at(2 * cap) == diagonal._tile_by_isqrt(2 * cap)
     assert len(diagonal._GEOMETRY[0]) == size
     # the searches' _geometry still at least doubles the table past the cap
     xs, ss = diagonal._geometry(size + 1)
