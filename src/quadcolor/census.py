@@ -7,10 +7,10 @@ of a system goes through its canonical form, so each isomorphism class is
 classified once per census process however the index range is cut into
 chunks, and every member of a class receives the same verdict.  The
 origin and H are constant over each run of 2^(n^2) consecutive indices, so
-the canonicalizing bijections are worked out once per run, the V masks of
-the run are renamed by them a bounded slice at a time, one pass through a
-small per-bijection column table, and each system then costs a few table
-reads and one class-table lookup.
+the canonicalizing bijections and a small column table for each of them are
+worked out once per run, the V masks of the run are renamed by them a
+bounded slice at a time, one pass through each table, and each system then
+costs a few table reads and one class-table lookup.
 
 Output is JSON lines, one record per system, written and flushed one
 chunk at a time.  A cursor sidecar, written once when the file is created,
@@ -162,8 +162,6 @@ def _record_range(n: int, start: int, stop: Optional[int]) -> int:
     return stop
 
 
-# Both per-bijection caches, _back and _columns, hold at most 128
-# bijections: every one up to n = 5, and 2^n entries each beyond.
 @lru_cache(maxsize=128)
 def _back(perm: tuple) -> tuple[tuple, tuple]:
     """perm's inverse as a color map, and the same map into the decimal
@@ -174,7 +172,6 @@ def _back(perm: tuple) -> tuple[tuple, tuple]:
     return tuple(back), tuple(map(str, back))
 
 
-@lru_cache(maxsize=128)
 def _columns(perm: tuple) -> tuple[list, tuple]:
     """perm's renaming of one row of a relation mask: entry m of the table is
     the image of the columns b set in m, 2^n entries.  Row a of a mask holds
@@ -223,9 +220,10 @@ def _classified(
     systems._least_h finds the least perm(H) and the bijections tied on it
     once per run.  The run is walked in slices of _RENAMED_CAP // len(ties)
     V masks, so records stream however long the run; each tied perm renames
-    a slice in one pass (_renamed), and a system's key is the least (perm(V), perm) over the
-    ties, as in canonicalize: equal images keep the first bijection.  The
-    id is the run's prefix and the canonical V in hex.
+    a slice in one pass (_renamed) through its _columns table, built once
+    per run, and a system's key is the least (perm(V), perm) over the ties,
+    as in canonicalize: equal images keep the first bijection.  The id is
+    the run's prefix and the canonical V in hex.
     """
     bits = n * n
     run = 1 << bits
@@ -234,11 +232,12 @@ def _classified(
         canon_h, ties = _least_h(n, origin, h_mask)
         high = canon_h << bits
         prefix = f"{n}.0.{canon_h:x}."
+        tables = [(_columns(p), p) for p in ties]
         step = max(1, _RENAMED_CAP // len(ties))
         end = min(stop - base, run)
         for lo in range(max(start - base, 0), end, step):
             hi = min(lo + step, end)
-            keyed = [zip(_renamed(*_columns(p), lo, hi), repeat(p)) for p in ties]
+            keyed = [zip(_renamed(*cols, lo, hi), repeat(p)) for cols, p in tables]
             keys = map(min, *keyed) if len(keyed) > 1 else keyed[0]
             for index, (canon_v, perm) in enumerate(keys, base + lo):
                 verdict = classes.get(high | canon_v)

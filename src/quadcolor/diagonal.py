@@ -12,7 +12,9 @@ quadrant anti-diagonal by anti-diagonal, starting at the origin::
 so ``tile_index(0, 0) == 0``, ``tile_index(0, 1) == 1``,
 ``tile_index(1, 0) == 2`` and so on.  ``tile_at`` is the exact inverse.
 Everything here is integer arithmetic; no floating point is involved, so
-the maps are exact over the whole supported range.
+the maps are exact over the whole supported range.  A float raises
+ValueError; a bool passes as 0 or 1, as the table reads that serve most
+calls take it, since rejecting it there would cost every call a check.
 
 ``_geometry`` is the package's one tile table: the column and anti-diagonal
 of each index, grown by whole anti-diagonals and shared by ``tile_at``
@@ -33,8 +35,8 @@ MAX_INDEX = (MAX_COORD_SUM * (MAX_COORD_SUM + 1)) // 2 + MAX_COORD_SUM
 
 def triangular(m: int) -> int:
     """m-th triangular number: 0, 1, 3, 6, 10, ..."""
-    if m < 0 or m > MAX_COORD_SUM:
-        raise ValueError(f"triangular argument {m} outside supported range [0, {MAX_COORD_SUM}]")
+    if not isinstance(m, int) or m < 0 or m > MAX_COORD_SUM:
+        raise ValueError(f"triangular argument {m!r} is not an int in [0, {MAX_COORD_SUM}]")
     return m * (m + 1) // 2
 
 
@@ -49,8 +51,8 @@ def tile_index(x: int, y: int) -> int:
 
 
 def _index_by_formula(x: int, y: int) -> int:
-    if x < 0 or y < 0:
-        raise ValueError(f"tile coordinates must be non-negative, got ({x}, {y})")
+    if not (isinstance(x, int) and isinstance(y, int)) or x < 0 or y < 0:
+        raise ValueError(f"tile coordinates must be non-negative ints, got ({x!r}, {y!r})")
     s = x + y
     if s > MAX_COORD_SUM:
         raise ValueError(f"tile ({x}, {y}) outside supported range (x+y <= {MAX_COORD_SUM})")
@@ -69,7 +71,9 @@ def tile_at(k: int) -> tuple[int, int]:
         xs, ss = _GEOMETRY
         try:
             x = xs[k]
-        except IndexError:
+        except (IndexError, TypeError):
+            if not isinstance(k, int):
+                raise ValueError(f"tile index must be an int, got {k!r}") from None
             if k >= TABLE_CAP:
                 return _tile_by_isqrt(k)
             # doubling, as _geometry grows it, but never past the cap

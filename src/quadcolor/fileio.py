@@ -126,7 +126,7 @@ def load_system(path: str) -> ColoringSystem:
 
 
 def sequence_to_json(seq) -> list:
-    return [int(c) for c in seq]
+    return _as_int_list(list(seq), "sequence")
 
 
 def parse_sequence(obj, what: str = "sequence") -> tuple:

@@ -11,13 +11,15 @@ reproducible.
 Chains, enumeration, extendability and exhaustion all call one function,
 _leaves, a walk over the tree of accepted sequences with one of two prune
 horizons: a fixed target length, or (exhaustion) one past the longest
-length seen so far, which grows as the walk finds longer prefixes.  It
-holds no state between calls.  Given a node cap, it returns None for its
-leaves when the cap runs out, and the caller reports Indeterminate.  The
-walk prunes colors whose H- or V-successor set is empty once the neighbor
-tile they doom falls inside the horizon.  This never changes a result (the
-tests compare against brute-force filtration) but lets bounded systems die
-fast.  The length profile does not walk the tree: it sweeps frontier words
+length seen so far, which grows as the walk finds longer prefixes.  Each
+descent works out the candidate colors of the next tile in one block, the
+origin at the root included, and an inner loop places them one at a time,
+backtracking when none is left.  The walk holds no state between calls.
+Given a node cap, it returns None for its leaves when the cap runs out,
+and the caller reports Indeterminate.  The walk prunes colors whose H- or
+V-successor set is empty once the neighbor tile they doom falls inside the
+horizon.  This never changes a result (the tests compare against
+brute-force filtration) but lets bounded systems die fast.  The length profile does not walk the tree: it sweeps frontier words
 level by level, merging prefixes that end in the same word and counting
 them together.
 
@@ -160,58 +162,47 @@ def _leaves(
     edge = k if grow else last
     out: list = []
     stack = []
-    x = xs[k]
-    s = ss[k]
-    if not k:
-        cand = 1 << sys.origin
-    elif x:
-        cand = h_next[seq[k - s - 1]]
-        if x < s:  # y = s - x > 0
-            cand &= v_next[seq[k - s]]
-    else:
-        cand = v_next[seq[k - s]]
-    if cand:
-        # right neighbor of tile k sits at index k+s+2, upper at k+s+1;
-        # a dead color placed at k dooms that index if it is <= edge
-        if k + s + 2 <= edge:
-            cand &= live_h
-        if k + s + 1 <= edge:
-            cand &= live_v
     while True:
-        if cand:
-            low = cand & -cand
-            cand ^= low
-            if nodes_left is not None:
-                if nodes_left == 0:
-                    return None, deepest
-                nodes_left -= 1
-                if k >= deepest:
-                    deepest = k + 1
-            if k >= edge:
-                if k == last:
-                    out.append(tuple(seq) + (low.bit_length() - 1,))
-                    if len(out) == want:
-                        return out, deepest
-                    continue
-                # only a growing walk gets here: a new longest prefix
-                edge = deepest = k + 1
-            seq.append(low.bit_length() - 1)
-            stack.append(cand)
-            k += 1
-            x = xs[k]
-            s = ss[k]
-            if x:
-                cand = h_next[seq[k - s - 1]]
-                if x < s:
-                    cand &= v_next[seq[k - s]]
-            else:
-                cand = v_next[seq[k - s]]
-            if cand:
-                if k + s + 2 <= edge:
-                    cand &= live_h
-                if k + s + 1 <= edge:
-                    cand &= live_v
+        # the candidates for tile k; its right neighbor sits at index k+s+2,
+        # its upper one at k+s+1, and a dead color placed at k dooms that
+        # index if it is <= edge
+        x = xs[k]
+        s = ss[k]
+        if not k:
+            cand = 1 << sys.origin
+        elif x:
+            cand = h_next[seq[k - s - 1]]
+            if x < s:  # y = s - x > 0
+                cand &= v_next[seq[k - s]]
         else:
+            cand = v_next[seq[k - s]]
+        if cand:
+            if k + s + 2 <= edge:
+                cand &= live_h
+            if k + s + 1 <= edge:
+                cand &= live_v
+        while True:
+            if cand:
+                low = cand & -cand
+                cand ^= low
+                if nodes_left is not None:
+                    if nodes_left == 0:
+                        return None, deepest
+                    nodes_left -= 1
+                    if k >= deepest:
+                        deepest = k + 1
+                if k >= edge:
+                    if k == last:
+                        out.append(tuple(seq) + (low.bit_length() - 1,))
+                        if len(out) == want:
+                            return out, deepest
+                        continue
+                    # only a growing walk gets here: a new longest prefix
+                    edge = deepest = k + 1
+                seq.append(low.bit_length() - 1)
+                stack.append(cand)
+                k += 1
+                break
             if not stack:
                 return out, deepest
             cand = stack.pop()

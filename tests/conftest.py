@@ -114,10 +114,17 @@ def brute_torus_colorings(sys, p, q):
 def brute_canonicalize(sys):
     """canonicalize from its definition: the least renamed system over the
     bijections that take the origin to 0, the first in permutations order
-    winning a tie, and that bijection."""
+    winning a tie, and that bijection.  The renamed masks are built pair by
+    pair from h_allows / v_allows, so no renaming code is shared with the
+    engine: pair (c, d) of a relation is bit c * n + d of its mask."""
+    n = sys.n
+
+    def renamed(allows, perm):
+        return sum(1 << (perm[c] * n + perm[d]) for c in range(n) for d in range(n) if allows(c, d))
+
     renamings = [
-        (qc.apply_bijection(sys, perm), perm)
-        for perm in permutations(range(sys.n))
+        (qc.ColoringSystem(n, 0, renamed(sys.h_allows, perm), renamed(sys.v_allows, perm)), perm)
+        for perm in permutations(range(n))
         if perm[sys.origin] == 0
     ]
     return min(renamings, key=lambda pair: (pair[0].h_mask, pair[0].v_mask))

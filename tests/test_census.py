@@ -435,6 +435,27 @@ def test_census_records_stream_from_long_runs(monkeypatch):
             assert rec.canonical_id == qc.canonical_id(rec.system)
 
 
+def test_census_builds_each_tie_table_once_per_run(monkeypatch):
+    # n = 8, origin 0, H = 0: all 7! = 5,040 origin-fixing bijections tie,
+    # and 100 records span several slices of _RENAMED_CAP // 5,040 masks;
+    # each tie's column table is built once for the run, not once per slice
+    built = []
+    real = census._columns
+
+    def counting(perm):
+        built.append(perm)
+        return real(perm)
+
+    monkeypatch.setattr(census, "_columns", counting)
+    start = 12_345
+    got = list(census_records(8, qc.SearchBudget(), start, start + 100))
+    assert len(built) == len(set(built)) == 5_040
+    assert 100 > census._RENAMED_CAP // 5_040  # the records do span slices
+    for index, rec in enumerate(got, start):
+        assert rec.system_index == index and rec.system == census.system_at(8, index)
+        assert rec.canonical_id == qc.canonical_id(rec.system)
+
+
 def test_census_loop_renames_per_run_not_per_record(monkeypatch):
     # _least_h renames each run's H once per origin-fixing bijection; the V
     # masks cost no _permute_mask call

@@ -78,6 +78,15 @@ def test_out_of_range_rejected():
         tile_at(-1)
     with pytest.raises(ValueError):
         tile_index(MAX_COORD_SUM, MAX_COORD_SUM)
+    # ints only: a float is neither coerced nor passed through as a float,
+    # on the table paths and past them
+    for call, args in (
+        (tile_index, (1.0, 0)), (tile_index, (0, 2.5)), (tile_index, (5000.0, 1)),
+        (triangular, (2.5,)), (triangular, (2.0,)),
+        (tile_at, (2.0,)), (tile_at, (float(1 << 30),)),
+    ):
+        with pytest.raises(ValueError, match=r"\bints?\b"):
+            call(*args)
 
 
 def test_large_indices_stay_exact():

@@ -76,6 +76,12 @@ def test_sequence_roundtrip(tmp_path, example_sequence):
         parse_sequence([1, "2"])
     with pytest.raises(qc.FileFormatError):
         parse_sequence({"cells": []})
+    # saving coerces nothing: a color the loader refuses is refused here
+    # too, with the same check, not written as some other int
+    for bad in (1.7, True, "2", None):
+        with pytest.raises(qc.InputError, match=r"sequence\[1\] must be an integer"):
+            qc.save_sequence((0, bad), str(tmp_path / "bad.json"))
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_triangle_roundtrip(tmp_path, example_triangle):
