@@ -101,14 +101,6 @@ def summary_to_json(s: CensusSummary) -> dict:
     return asdict(s)
 
 
-@dataclass(frozen=True)
-class MuEstimate:
-    """exact is present only when the census closed every system."""
-
-    exact: Optional[int]
-    lower_bound: int
-
-
 # -- classification -----------------------------------------------------------
 
 
@@ -523,14 +515,3 @@ def run_census(
         os.remove(_cursor_path(out_path))
     return summary
 
-
-def mu(n: int, budget: SearchBudget) -> MuEstimate:
-    """Desk-scale bound on the longest-bounded-system length at color count n.
-
-    exact = 1 + max bounded length when every system was certified one way
-    or the other; otherwise only the lower bound (from the systems that
-    were certified bounded) is reported.
-    """
-    summary = run_census(n, budget)
-    assert summary is not None
-    return MuEstimate(exact=summary.mu_exact, lower_bound=summary.mu_lower_bound)

@@ -102,8 +102,5 @@ def check_witness(sys: ColoringSystem, w: PeriodicWitness) -> Optional[Violation
     The tiles with x + y <= p + q - 1 hold every horizontal and vertical
     pair of the torus, wrap pairs included, and every adjacent pair of the
     unrolled quadrant is a torus pair, so checking that triangle decides
-    the quadrant.  Raises InputError when the cells are not a p-by-q grid
-    or hold a color out of range."""
-    if w.p < 1 or w.q < 1 or len(w.rows) != w.q or any(len(row) != w.p for row in w.rows):
-        raise InputError(f"witness cells are not a {w.p}x{w.q} grid")
+    the quadrant.  Raises InputError for a cell color out of range."""
     return check_triangle(sys, w.expand(w.p + w.q - 1))

@@ -21,9 +21,9 @@ from .systems import (
     MAX_CANON_COLORS,
     Bounded,
     HasColoring,
+    InputError,
     TriangleColoring,
     Unknown,
-    _is_int,
     canonical_form,
     is_isomorphic,
 )
@@ -116,23 +116,18 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 def _load_palette(path: str) -> Palette:
     obj = fileio.load_json(path)
-    if not isinstance(obj, list) or not obj:
-        raise fileio.FileFormatError(f"{path}: palette must be a non-empty array")
+    if not isinstance(obj, list):
+        raise fileio.FileFormatError(f"{path}: palette must be an array")
     entries = []
     for i, entry in enumerate(obj):
-        if (
-            not isinstance(entry, dict)
-            or set(entry) != {"name", "rgb"}
-            or not isinstance(entry["name"], str)
-            or not isinstance(entry["rgb"], list)
-            or len(entry["rgb"]) != 3
-            or any(not _is_int(v) or not 0 <= v <= 255 for v in entry["rgb"])
-        ):
-            raise fileio.FileFormatError(
-                f'{path}: palette entry {i} must look like {{"name": ..., "rgb": [r, g, b]}}'
-            )
+        fileio._require_keys(entry, ("name", "rgb"), f"{path}: palette entry {i}")
+        if not isinstance(entry["rgb"], list):
+            raise fileio.FileFormatError(f"{path}: palette entry {i}.rgb must be an array")
         entries.append((entry["name"], tuple(entry["rgb"])))
-    return Palette(entries=tuple(entries))
+    try:
+        return Palette(entries=tuple(entries))
+    except InputError as exc:
+        raise fileio.FileFormatError(f"{path}: {exc}") from None
 
 
 def _cmd_render(args: argparse.Namespace) -> int:

@@ -42,11 +42,11 @@ def triangular(m: int) -> int:
 
 def tile_index(x: int, y: int) -> int:
     """Diagonal index of tile (x, y): triangular(x+y) + x."""
-    if x >= 0 <= y:
-        try:
+    try:
+        if x >= 0 <= y:
             return _STARTS[x + y] + x
-        except (IndexError, TypeError):
-            pass
+    except (IndexError, TypeError):
+        pass
     return _index_by_formula(x, y)
 
 
@@ -67,20 +67,20 @@ def diagonal_of(k: int) -> int:
 
 def tile_at(k: int) -> tuple[int, int]:
     """Inverse of tile_index: the tile carrying diagonal index k."""
-    if k >= 0:
-        xs, ss = _GEOMETRY
-        try:
-            x = xs[k]
-        except (IndexError, TypeError):
-            if not isinstance(k, int):
-                raise ValueError(f"tile index must be an int, got {k!r}") from None
-            if k >= TABLE_CAP:
-                return _tile_by_isqrt(k)
-            # doubling, as _geometry grows it, but never past the cap
-            xs, ss = _grown(min(max(k + 1, 2 * len(xs)), TABLE_CAP))
-            x = xs[k]
-        return x, ss[k] - x
-    return _tile_by_isqrt(k)
+    xs, ss = _GEOMETRY
+    try:
+        if k < 0:
+            return _tile_by_isqrt(k)
+        x = xs[k]
+    except (IndexError, TypeError):
+        if not isinstance(k, int):
+            raise ValueError(f"tile index must be an int, got {k!r}") from None
+        if k >= TABLE_CAP:
+            return _tile_by_isqrt(k)
+        # doubling, as _geometry grows it, but never past the cap
+        xs, ss = _grown(min(max(k + 1, 2 * len(xs)), TABLE_CAP))
+        x = xs[k]
+    return x, ss[k] - x
 
 
 def _tile_by_isqrt(k: int) -> tuple[int, int]:

@@ -171,15 +171,14 @@ def parse_witness(obj, what: str = "witness") -> PeriodicWitness:
     _require_keys(obj, ("p", "q", "cells"), what)
     p = _as_int(obj["p"], f"{what}.p")
     q = _as_int(obj["q"], f"{what}.q")
-    if p < 1 or q < 1:
-        raise FileFormatError(f"{what}: periods must be >= 1, got p={p}, q={q}")
     raw = obj["cells"]
     if not isinstance(raw, list):
         raise FileFormatError(f"{what}.cells must be an array of rows")
-    rows = [tuple(_as_int_list(row, f"{what}.cells[{y}]")) for y, row in enumerate(raw)]
-    if len(rows) != q or any(len(row) != p for row in rows):
-        raise FileFormatError(f"{what}.cells is not a {q}-row by {p}-column grid")
-    return PeriodicWitness(p=p, q=q, rows=tuple(rows))
+    rows = tuple(tuple(_as_int_list(row, f"{what}.cells[{y}]")) for y, row in enumerate(raw))
+    try:
+        return PeriodicWitness(p=p, q=q, rows=rows)
+    except InputError as exc:
+        raise FileFormatError(f"{what}: {exc}") from None
 
 
 def save_witness(w: PeriodicWitness, path: str) -> None:

@@ -41,6 +41,15 @@ class Palette:
 
     entries: tuple
 
+    def __post_init__(self):
+        if not (isinstance(self.entries, tuple) and self.entries):
+            raise InputError(f"palette entries must be a non-empty tuple, got {self.entries!r}")
+        for i, entry in enumerate(self.entries):
+            if not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str)
+                    and isinstance(entry[1], tuple) and len(entry[1]) == 3
+                    and all(_is_int(v) and 0 <= v <= 255 for v in entry[1])):
+                raise InputError(f"palette entry {i} is not (name, (r, g, b)) in [0, 255]: {entry}")
+
     def name(self, color: int) -> str:
         self._check(color)
         return self.entries[color][0]
@@ -56,8 +65,8 @@ class Palette:
 
 def default_palette(n: int) -> Palette:
     """The named base colors, extended with evenly spaced hues as needed."""
-    if n < 1:
-        raise InputError(f"palette size must be >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise InputError(f"palette size must be an int >= 1, got {n!r}")
     entries = list(_BASE_COLORS[:n])
     for i in range(len(_BASE_COLORS), n):
         hue = (i - len(_BASE_COLORS)) / max(1, n - len(_BASE_COLORS))

@@ -19,9 +19,10 @@ Given a node cap, it returns None for its leaves when the cap runs out,
 and the caller reports Indeterminate.  The walk prunes colors whose H- or
 V-successor set is empty once the neighbor tile they doom falls inside the
 horizon.  This never changes a result (the tests compare against
-brute-force filtration) but lets bounded systems die fast.  The length profile does not walk the tree: it sweeps frontier words
-level by level, merging prefixes that end in the same word and counting
-them together.
+brute-force filtration) but lets bounded systems die fast.
+
+The length profile sweeps frontier words level by level, not the tree,
+merging prefixes that end in the same word and counting them together.
 
 classify decides a system in four steps, cheapest first: an origin color
 with both self-loops, a 1-D shadow (a coloring constant along x, y, x + y

@@ -8,9 +8,9 @@ membership tests and whole-system comparisons are single int operations.
 That matters: the census sweeps all ``n * 2^(n^2) * 2^(n^2)`` systems.
 
 All types here are immutable values, valid once built: a constructor that
-is handed a bad color count, origin, mask or coloring domain raises
-InputError, so nothing downstream re-checks them.  They are safe to share
-across threads or processes.
+is handed a bad color count, origin, mask, coloring domain or witness
+shape raises InputError, so nothing downstream re-checks them.  They are
+safe to share across threads or processes.
 """
 
 from __future__ import annotations
@@ -300,6 +300,13 @@ class PeriodicWitness:
     p: int
     q: int
     rows: tuple[tuple[int, ...], ...]  # rows[y][x] for 0 <= y < q, 0 <= x < p
+
+    def __post_init__(self):
+        p, q, rows = self.p, self.q, self.rows
+        if not (_is_int(p) and _is_int(q) and p >= 1 <= q
+                and isinstance(rows, tuple) and len(rows) == q
+                and all(isinstance(row, tuple) and len(row) == p for row in rows)):
+            raise InputError(f"witness is not q tuples of p cells for ints p={p!r}, q={q!r} >= 1")
 
     def expand(self, diagonals: int) -> TriangleColoring:
         """Unroll onto the full triangle of tiles with x + y <= diagonals:

@@ -187,8 +187,8 @@ def test_one_color_bound_is_three():
         assert qc.verdict_kind(record.verdict) == kind
         if kind == "bounded":
             assert record.verdict.max_len == longest
-    estimate = qc.mu(1, CAPS)
-    assert estimate == qc.MuEstimate(exact=3, lower_bound=3)
+    summary = qc.run_census(1, CAPS)
+    assert (summary.mu_exact, summary.mu_lower_bound) == (3, 3)
     _report("one-color census: bounded lengths {1,1,2}, exact bound 3", t0, limit=1.0)
 
 

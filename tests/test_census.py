@@ -91,8 +91,8 @@ def test_one_color_census_against_brute():
 
 
 def test_mu_one_is_three():
-    estimate = qc.mu(1, CAPS)
-    assert estimate == qc.MuEstimate(exact=3, lower_bound=3)
+    summary = qc.run_census(1, CAPS)
+    assert (summary.mu_exact, summary.mu_lower_bound) == (3, 3)
 
 
 def test_one_color_summary_champion():
@@ -243,14 +243,14 @@ def test_tiny_depth_cap_weakens_the_bound():
     # a cap of 2 cannot certify the length-2 system bounded (that needs the
     # absence of length-3 sequences), so only Bounded(1) is observed and the
     # reported bound drops to 2; still sound, just weaker
-    est = qc.mu(1, qc.SearchBudget(depth_cap=2, period_cap=4))
-    assert est == qc.MuEstimate(exact=None, lower_bound=2)
+    summary = qc.run_census(1, qc.SearchBudget(depth_cap=2, period_cap=4))
+    assert (summary.mu_exact, summary.mu_lower_bound) == (None, 2)
 
 
 def test_bound_is_monotone_in_color_count():
     # a bounded system keeps its max length when a fresh unusable color is
     # added, so the lower bound cannot drop as n grows
-    assert qc.mu(1, CAPS).lower_bound <= qc.mu(2, CAPS).lower_bound
+    assert qc.run_census(1, CAPS).mu_lower_bound <= qc.run_census(2, CAPS).mu_lower_bound
 
 
 def test_embedded_one_color_system_bounds_two_colors():
@@ -258,8 +258,8 @@ def test_embedded_one_color_system_bounds_two_colors():
     assert brute_max_length(embedded, 5) == 2  # color 1 appears in no pair
     verdict = qc.classify(embedded, qc.SearchBudget(depth_cap=8, period_cap=2))
     assert verdict == qc.Bounded(max_len=2)
-    est = qc.mu(2, qc.SearchBudget(depth_cap=8, period_cap=2))
-    assert est.lower_bound >= 3
+    summary = qc.run_census(2, qc.SearchBudget(depth_cap=8, period_cap=2))
+    assert summary.mu_lower_bound >= 3
 
 
 def test_run_census_streams_jsonl(tmp_path):

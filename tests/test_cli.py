@@ -207,6 +207,13 @@ def test_render_rejects_bad_palette(paths, tmp_path, capsys):
         assert main(["render", paths["sequence"], "--format", "svg",
                      "--palette", str(palette_path)]) == 2
         assert "palette entry 0" in capsys.readouterr().err
+    # entries of the wrong JSON shape, a name that is no string, no entries
+    for palette in ([["x", [0, 0, 0]]], [{"name": "x"}], [{"name": "x", "rgb": "abc"}],
+                    [{"name": 3, "rgb": [0, 0, 0]}], [], {"name": "x", "rgb": [0, 0, 0]}):
+        palette_path.write_text(json.dumps(palette))
+        assert main(["render", paths["sequence"], "--format", "svg",
+                     "--palette", str(palette_path)]) == 2
+        assert "palette" in capsys.readouterr().err
 
 
 def test_isomorphic_exit_codes(tmp_path, capsys):

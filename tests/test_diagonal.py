@@ -84,6 +84,9 @@ def test_out_of_range_rejected():
         (tile_index, (1.0, 0)), (tile_index, (0, 2.5)), (tile_index, (5000.0, 1)),
         (triangular, (2.5,)), (triangular, (2.0,)),
         (tile_at, (2.0,)), (tile_at, (float(1 << 30),)),
+        # values that do not compare with 0 reach the same error
+        (tile_at, ("3",)), (tile_at, (None,)), (tile_index, ("a", 0)),
+        (tile_index, (0, None)), (diagonal_of, ("3",)),
     ):
         with pytest.raises(ValueError, match=r"\bints?\b"):
             call(*args)

@@ -109,8 +109,10 @@ def test_default_palette_names():
     assert bigger.name(12) == "orange"
     assert bigger.name(13).startswith("hue")
     assert len({bigger.rgb(i) for i in range(16)}) == 16  # no collisions
-    with pytest.raises(qc.InputError):
-        qc.default_palette(0)
+    # sizes are ints >= 1: True is no size, and 2.5 is an input error
+    for bad in (0, -1, True, 2.5, "3"):
+        with pytest.raises(qc.InputError):
+            qc.default_palette(bad)
 
 
 def test_palette_bounds():
@@ -122,6 +124,24 @@ def test_palette_bounds():
     # rendering a triangle with colors past the palette is an input error
     with pytest.raises(qc.InputError):
         qc.render_triangle(small_triangle(), fmt="ppm", palette=p)
+    # a palette checks its entries when built: no entries, channels out of
+    # [0, 255] or not ints, names that are not strings, entries of the
+    # wrong shape
+    for entries in (
+        (),
+        (("a", (300, 0, -1)), ("b", (0, 0, 0))),
+        (("a", (0, 0, 256)),),
+        (("a", (0, True, 0)),),
+        (("a", (0, 0.5, 0)),),
+        (("a", (0, 0)),),
+        ((7, (0, 0, 0)),),
+        (("a", (0, 0, 0), "extra"),),
+        ("a",),
+        [("a", (0, 0, 0))],
+    ):
+        with pytest.raises(qc.InputError):
+            qc.Palette(entries=entries)
+    assert qc.Palette(entries=(("a", (0, 0, 0)), ("b", (255, 255, 255)))).rgb(1) == (255, 255, 255)
 
 
 def test_render_argument_validation():

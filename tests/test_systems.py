@@ -256,15 +256,28 @@ def test_witness_problems_and_expansion():
     torn = qc.PeriodicWitness(p=2, q=1, rows=((0, 0),))
     assert "not in H" in qc.check_witness(s, torn).message()
 
-    # malformed witnesses are input errors, not rejections
-    for bad in (
-        qc.PeriodicWitness(p=0, q=1, rows=()),
-        qc.PeriodicWitness(p=2, q=1, rows=((0,),)),
-        qc.PeriodicWitness(p=1, q=2, rows=((0,),)),
-        qc.PeriodicWitness(p=2, q=1, rows=((0, 5),)),
+    # a witness that is no p-by-q grid with int periods >= 1 cannot be built
+    for p, q, rows in (
+        (0, 1, ()),
+        (0, 1, ((),)),
+        (2, 1, ((0,),)),
+        (1, 2, ((0,),)),
+        (2, 1, ((0, 1), (1, 0))),
+        (True, True, ((0,),)),
+        (1, False, ()),
+        ("1", 1, ((0,),)),
+        (1, "1", ((0,),)),
+        (1.0, 1, ((0,),)),
+        (1, 1, [(0,)]),
+        (1, 1, ([0],)),
+        (1, 1, (5,)),
+        (1, 1, None),
     ):
         with pytest.raises(qc.InputError):
-            qc.check_witness(s, bad)
+            qc.PeriodicWitness(p=p, q=q, rows=rows)
+    # a color out of range is an input error of the check, not a rejection
+    with pytest.raises(qc.InputError):
+        qc.check_witness(s, qc.PeriodicWitness(p=2, q=1, rows=((0, 5),)))
 
 
 def test_check_witness_agrees_with_brute_torus():
