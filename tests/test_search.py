@@ -262,6 +262,37 @@ def test_budgeted_witness_results_are_pinned():
     assert digest == "bd8ca8d6d054d71d93d5e6e52c790594028e4848ce10d863e538f3092bc4e4ad"
 
 
+def test_walk_results_are_pinned(example_system, example_triangle):
+    # the walk's modes the n=2 pin above does not reach, as the engine these
+    # bytes were recorded from ran them: 13-color chains under node caps,
+    # enumeration and extendability below prefixes of the bundled triangle,
+    # and growing walks on n=3 systems under node caps
+    example = example_system
+    triangle = example_triangle.seq
+    results = []
+    for horizon in (20, 45, 70):
+        for node_cap in (1, 5, 1000, 10**5, None):
+            results.append(qc.build_chain(example, horizon, qc.SearchBudget(node_cap=node_cap)))
+    results.append(qc.enumerate_sequences(example, 12))
+    for cut in (1, 2, 3, 5, 9, 20, 40):
+        prefix = triangle[:cut]
+        for extra in (1, 4, 8, 12):
+            results.append(search._leaves(example, cut + extra, prefix, None))
+            results.append(search._leaves(example, cut + extra, prefix, 3, node_cap=50))
+            results.append(search._leaves(example, cut + extra, prefix, 1, grow=True, node_cap=500))
+        for horizon in (cut, cut + 5, cut + 30):
+            results.append(sorted(qc.extendable_colors(example, prefix, horizon)))
+    rng = random.Random(21)
+    for _ in range(400):
+        s = random_system(rng, 3)
+        for node_cap in (1, 7, 40, 300, None):
+            results.append(qc.max_accept_length(s, qc.SearchBudget(node_cap=node_cap)))
+    kinds = {type(r) for r in results}
+    assert {qc.ExactMax, qc.ReachedCap, qc.Indeterminate, tuple} <= kinds
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "a7c944b83d9f8f98d542418f9a0017567b82a65dfa0dfeef76fcb46135abc32a"
+
+
 @given(system_strategy(max_colors=3))
 @settings(max_examples=80, deadline=None)
 def test_witness_is_first_in_period_order(s):
