@@ -59,8 +59,8 @@ class Palette:
         return self.entries[color][1]
 
     def _check(self, color: int) -> None:
-        if not 0 <= color < len(self.entries):
-            raise InputError(f"palette has {len(self.entries)} colors, cannot draw color {color}")
+        if not (_is_int(color) and 0 <= color < len(self.entries)):
+            raise InputError(f"palette has {len(self.entries)} colors, cannot draw color {color!r}")
 
 
 def default_palette(n: int) -> Palette:

@@ -12,14 +12,17 @@ Chains, enumeration, extendability and exhaustion all call one function,
 _leaves, a walk over the tree of accepted sequences with one of two prune
 horizons: a fixed target length, or (exhaustion) one past the longest
 length seen so far, which grows as the walk finds longer prefixes.  Each
-descent works out the candidate colors of the next tile in one block, the
-origin at the root included, and an inner loop places them one at a time,
-backtracking when none is left.  The walk holds no state between calls.
-Given a node cap, it returns None for its leaves when the cap runs out,
-and the caller reports Indeterminate.  The walk prunes colors whose H- or
-V-successor set is empty once the neighbor tile they doom falls inside the
-horizon.  This never changes a result (the tests compare against
-brute-force filtration) but lets bounded systems die fast.
+descent computes the next tile's candidates as one mask expression: the
+walk reads both neighbors from slot tables (_slots), with a wall color in
+slot 0 whose successors are every color standing in for the axes, and
+ANDs in a per-index mask holding the origin bit and the prune.  An inner
+loop places the candidates one at a time, backtracking when none is left.
+The walk holds no state between calls.  Given a node cap, it returns None
+for its leaves when the cap runs out, and the caller reports
+Indeterminate.  The prune drops colors whose H- or V-successor set is
+empty once the neighbor tile they doom falls inside the horizon.  This
+never changes a result (the tests compare against brute-force
+filtration) but lets bounded systems die fast.
 
 The length profile sweeps frontier words level by level, not the tree,
 merging prefixes that end in the same word and counting them together.
@@ -116,6 +119,18 @@ class LengthProfile:
     counts: tuple[int, ...]
 
 
+@lru_cache(maxsize=32)
+def _slots(target: int) -> tuple[list, list]:
+    """(left, below) for the indices below target: the walk's slots of tile
+    k's left neighbor (index k-s-1, s = x+y) and lower one (index k-s).
+    Tile i sits in slot i + 1, and slot 0, the wall, stands in for the
+    neighbor of a tile with x = 0 or y = 0."""
+    xs, ss = _geometry(target)
+    left = [k - ss[k] if xs[k] else 0 for k in range(target)]
+    below = [k - ss[k] + 1 if xs[k] < ss[k] else 0 for k in range(target)]
+    return left, below
+
+
 def _leaves(
     sys: ColoringSystem,
     target: int,
@@ -139,49 +154,40 @@ def _leaves(
     prefix placed so far, the first index no placed prefix reaches.
     So a growing walk exhausts the tree below the target, pruning only
     what cannot beat its longest prefix, and longest ends as that
-    prefix's length.  This is the hot loop of the whole package, so
-    candidate masks are computed inline on locals.
+    prefix's length.  This is the hot loop of the whole package, so tile
+    k's candidates are one expression on locals: the H successors of the
+    color in slot left[k], the V successors of the one in slot below[k],
+    and masks[k], which holds the origin bit at k = 0 and the prune.  The
+    wall color n has every color as H and V successor.  Each index e <=
+    edge prunes its lower neighbor by live_v and its left one by live_h,
+    as the walk starts or its edge grows to e; the wall's marks land in
+    masks[target], which no tile reads.  seq is written in place, so
+    backtracking only pops the candidate stack.
     """
     k = len(prefix)
     if k >= target:
         return [tuple(prefix)], k
     n = sys.n
-    h_next = sys.h_next
-    v_next = sys.v_next
-    live_h = 0
-    live_v = 0
-    for c in range(n):
-        if h_next[c]:
-            live_h |= 1 << c
-        if v_next[c]:
-            live_v |= 1 << c
-    xs, ss = _geometry(target)
-    seq = list(prefix)
+    full = (1 << n) - 1
+    h = sys.h_next + (full,)
+    v = sys.v_next + (full,)
+    live_h = sum(1 << c for c in range(n) if h[c])
+    live_v = sum(1 << c for c in range(n) if v[c])
+    left, below = _slots(target)
+    seq = [n, *prefix] + [0] * (target - k)
     nodes_left = node_cap
     deepest = k
     last = target - 1
     edge = k if grow else last
+    masks = [full] * (target + 1)
+    masks[0] = 1 << sys.origin
+    for e in range(edge + 1):
+        masks[below[e] - 1] &= live_v
+        masks[left[e] - 1] &= live_h
     out: list = []
     stack = []
     while True:
-        # the candidates for tile k; its right neighbor sits at index k+s+2,
-        # its upper one at k+s+1, and a dead color placed at k dooms that
-        # index if it is <= edge
-        x = xs[k]
-        s = ss[k]
-        if not k:
-            cand = 1 << sys.origin
-        elif x:
-            cand = h_next[seq[k - s - 1]]
-            if x < s:  # y = s - x > 0
-                cand &= v_next[seq[k - s]]
-        else:
-            cand = v_next[seq[k - s]]
-        if cand:
-            if k + s + 2 <= edge:
-                cand &= live_h
-            if k + s + 1 <= edge:
-                cand &= live_v
+        cand = h[seq[left[k]]] & v[seq[below[k]]] & masks[k]
         while True:
             if cand:
                 low = cand & -cand
@@ -194,20 +200,22 @@ def _leaves(
                         deepest = k + 1
                 if k >= edge:
                     if k == last:
-                        out.append(tuple(seq) + (low.bit_length() - 1,))
+                        seq[target] = low.bit_length() - 1
+                        out.append(tuple(seq[1:]))
                         if len(out) == want:
                             return out, deepest
                         continue
                     # only a growing walk gets here: a new longest prefix
                     edge = deepest = k + 1
-                seq.append(low.bit_length() - 1)
-                stack.append(cand)
+                    masks[below[edge] - 1] &= live_v
+                    masks[left[edge] - 1] &= live_h
                 k += 1
+                seq[k] = low.bit_length() - 1
+                stack.append(cand)
                 break
             if not stack:
                 return out, deepest
             cand = stack.pop()
-            seq.pop()
             k -= 1
 
 

@@ -15,7 +15,7 @@ import pytest
 import quadcolor as qc
 from quadcolor import census, systems
 from quadcolor.census import census_records
-from conftest import brute_canonicalize, brute_max_length, brute_torus_colorings
+from conftest import brute_canonicalize, brute_max_length, brute_torus_colorings, random_system
 
 CAPS = qc.SearchBudget(depth_cap=32, period_cap=4)
 
@@ -206,14 +206,22 @@ def test_relabeled_witnesses_certify_their_own_system():
 
 def test_verdicts_invariant_under_transposition():
     # swapping H and V transposes every coloring: the verdict kind stays,
-    # and so does the number of complete diagonals of a longest sequence
-    for index in range(512):
-        s = qc.system_at(2, index)
-        base = qc.classify(s, CAPS)
-        other = qc.classify(qc.ColoringSystem(2, s.origin, s.v_mask, s.h_mask), CAPS)
-        assert qc.verdict_kind(other) == qc.verdict_kind(base), index
+    # and so does the number of complete diagonals of a longest sequence;
+    # every n=2 system, then a seeded n=3 sample at the default budget,
+    # where all three kinds occur and the growing walk runs both ways round
+    rng = random.Random(5)
+    cases = [(qc.system_at(2, index), CAPS) for index in range(512)]
+    cases += [(random_system(rng, 3), qc.SearchBudget()) for _ in range(600)]
+    kinds = set()
+    for s, budget in cases:
+        base = qc.classify(s, budget)
+        other = qc.classify(qc.ColoringSystem(s.n, s.origin, s.v_mask, s.h_mask), budget)
+        assert qc.verdict_kind(other) == qc.verdict_kind(base), s
         if isinstance(base, qc.Bounded):
-            assert qc.diagonal_of(other.max_len) == qc.diagonal_of(base.max_len), index
+            assert qc.diagonal_of(other.max_len) == qc.diagonal_of(base.max_len), s
+        if s.n == 3:
+            kinds.add(qc.verdict_kind(base))
+    assert kinds == {"bounded", "has_coloring", "unknown"}
 
 
 def test_canonical_id_matches_canonical_form():

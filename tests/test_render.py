@@ -121,6 +121,10 @@ def test_palette_bounds():
         p.rgb(2)
     with pytest.raises(qc.InputError):
         p.name(-1)
+    # colors are ints: a string or a bool is an input error, not entry 1
+    for call, bad in ((p.rgb, "a"), (p.name, "a"), (p.rgb, True)):
+        with pytest.raises(qc.InputError):
+            call(bad)
     # rendering a triangle with colors past the palette is an input error
     with pytest.raises(qc.InputError):
         qc.render_triangle(small_triangle(), fmt="ppm", palette=p)

@@ -229,6 +229,20 @@ def test_exhaustion_matches_the_length_profile_at_the_census_cap():
     assert kinds == {2: {qc.ExactMax, qc.ReachedCap}, 3: {qc.ExactMax, qc.ReachedCap}}
 
 
+def test_the_n4_champion_is_certified_twice():
+    # the longest bounded n=4 system known, so mu(4) >= 40: exhaustion
+    # stops at 39 tiles, the frontier sweep counts no sequence longer, and
+    # the H/V swap stops at 41 tiles, on the same diagonal
+    s = qc.ColoringSystem(4, 0, 0x1797, 0x7d2a)
+    assert qc.canonical_id(s) == "4.0.1797.7d2a"
+    assert qc.max_accept_length(s, qc.SearchBudget(depth_cap=64)) == qc.ExactMax(39)
+    counts = qc.length_profile(s, qc.SearchBudget(depth_cap=45)).counts
+    assert max(k + 1 for k, count in enumerate(counts) if count) == 39
+    swapped = qc.ColoringSystem(4, 0, 0x7d2a, 0x1797)
+    assert qc.max_accept_length(swapped, qc.SearchBudget(depth_cap=64)) == qc.ExactMax(41)
+    assert qc.diagonal_of(41) == qc.diagonal_of(39)
+
+
 def test_budgeted_search_results_are_pinned():
     # every n=2 system under a ladder of node caps: exhaustion and chains
     # stop at the same node, with the same max_seen and node count, as the
