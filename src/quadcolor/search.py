@@ -171,10 +171,16 @@ def _leaves(
     full = (1 << n) - 1
     h = sys.h_next + (full,)
     v = sys.v_next + (full,)
-    live_h = sum(1 << c for c in range(n) if h[c])
-    live_v = sum(1 << c for c in range(n) if v[c])
+    live_h = 0
+    live_v = 0
+    for c in range(n):
+        if h[c]:
+            live_h |= 1 << c
+        if v[c]:
+            live_v |= 1 << c
     left, below = _slots(target)
-    seq = [n, *prefix] + [0] * (target - k)
+    seq = [n] * (target + 1)
+    seq[1:k + 1] = prefix
     nodes_left = node_cap
     deepest = k
     last = target - 1
