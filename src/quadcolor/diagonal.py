@@ -59,12 +59,6 @@ def _index_by_formula(x: int, y: int) -> int:
     return s * (s + 1) // 2 + x
 
 
-def diagonal_of(k: int) -> int:
-    """Largest m with triangular(m) <= k, i.e. the anti-diagonal holding index k."""
-    x, y = tile_at(k)
-    return x + y
-
-
 def tile_at(k: int) -> tuple[int, int]:
     """Inverse of tile_index: the tile carrying diagonal index k."""
     xs, ss = _GEOMETRY

@@ -222,20 +222,20 @@ def _verdict_from_fields(kind, fields, what: str) -> Verdict:
     witness's own p, q and cells for has_coloring, depth_reached and
     period_cap_reached for unknown.  A census record's detail object has
     this shape."""
-    if kind == "bounded":
-        _require_keys(fields, ("max_len",), what)
-        return Bounded(max_len=_as_int(fields["max_len"], f"{what}.max_len"))
     if kind == "has_coloring":
         return HasColoring(witness=parse_witness(fields, what))
-    if kind == "unknown":
-        _require_keys(fields, ("depth_reached", "period_cap_reached"), what)
-        return Unknown(
-            depth_reached=_as_int(fields["depth_reached"], f"{what}.depth_reached"),
-            period_cap_reached=_as_int(
-                fields["period_cap_reached"], f"{what}.period_cap_reached"
-            ),
-        )
-    raise FileFormatError(f"{what}: unknown verdict kind {kind!r}")
+    if kind == "bounded":
+        cls, keys = Bounded, ("max_len",)
+    elif kind == "unknown":
+        cls, keys = Unknown, ("depth_reached", "period_cap_reached")
+    else:
+        raise FileFormatError(f"{what}: unknown verdict kind {kind!r}")
+    _require_keys(fields, keys, what)
+    values = {key: _as_int(fields[key], f"{what}.{key}") for key in keys}
+    try:
+        return cls(**values)
+    except InputError as exc:
+        raise FileFormatError(f"{what}: {exc}") from None
 
 
 # -- colorings of unspecified shape -------------------------------------------

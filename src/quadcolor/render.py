@@ -100,21 +100,6 @@ def _render_text(tri: TriangleColoring) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def parse_text_triangle(text: str) -> TriangleColoring:
-    """Inverse of the text renderer: top line is the highest row."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise InputError("empty triangle text")
-    rows = []
-    for line in reversed(lines):
-        try:
-            rows.append([int(tok) for tok in line.split()])
-        except ValueError:
-            raise InputError(f"triangle text line is not integers: {line!r}") from None
-    depth = sum(len(row) for row in rows) - 1
-    return TriangleColoring.from_rows(depth, rows)
-
-
 def _render_svg(tri: TriangleColoring, palette: Palette, scale: int) -> bytes:
     side = 10 * scale
     rows = tri.rows()

@@ -8,12 +8,12 @@ ascending numeric order, which makes every result deterministic:
 enumerations come out lexicographic and first-found witnesses are
 reproducible.
 
-Chains, enumeration, extendability and exhaustion all call one function,
-_leaves, a walk over the tree of accepted sequences with one of two prune
-horizons: a fixed target length, or (exhaustion) one past the longest
-length seen so far, which grows as the walk finds longer prefixes.  Each
-descent computes the next tile's candidates as one mask expression: the
-walk reads both neighbors from slot tables (_slots), with a wall color in
+Chains, enumeration and exhaustion all call one function, _leaves, a
+walk over the tree of accepted sequences with one of two prune horizons:
+a fixed target length, or (exhaustion) one past the longest length seen
+so far, which grows as the walk finds longer prefixes.  Each descent
+computes the next tile's candidates as one mask expression: the walk
+reads both neighbors from slot tables (_slots), with a wall color in
 slot 0 whose successors are every color standing in for the axes, and
 ANDs in a per-index mask holding the origin bit and the prune.  An inner
 loop places the candidates one at a time, backtracking when none is left.
@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
-from .checker import check_sequence
 from .diagonal import _geometry
 from .systems import (
     Bounded,
@@ -300,34 +299,6 @@ def length_profile(
     return LengthProfile(counts=tuple(counts))
 
 
-def extendable_colors(
-    sys: ColoringSystem,
-    prefix: Sequence[int],
-    horizon: int,
-) -> frozenset:
-    """Colors c such that prefix + (c,) is accepted and still extends to an
-    acceptable sequence of length ``horizon``.
-
-    The horizon is clamped to at least one extension step, so a horizon
-    equal to len(prefix) asks which single extensions stay acceptable.
-    The empty prefix is allowed: its answer is {origin} or nothing.  An
-    empty result proves the prefix cannot reach the horizon.
-    """
-    prefix = tuple(prefix)
-    violation = check_sequence(sys, prefix) if prefix else None
-    if violation is not None:
-        raise InputError(f"prefix is not accepted: {violation.message()}")
-    if not _is_int(horizon) or horizon < len(prefix):
-        raise InputError(f"horizon {horizon!r} is not an int >= the prefix length ({len(prefix)})")
-    target = max(horizon, len(prefix) + 1)
-    out = set()
-    for c in range(sys.n):
-        grown = prefix + (c,)
-        if check_sequence(sys, grown) is None and _leaves(sys, target, grown, 1)[0]:
-            out.add(c)
-    return frozenset(out)
-
-
 def build_chain(
     sys: ColoringSystem,
     horizon: int,
@@ -340,7 +311,8 @@ def build_chain(
     lexicographically least acceptable sequence of the horizon length, so
     one first-leaf search computes the whole chain (the per-step variant
     re-proves viability of each prefix from scratch and is quadratically
-    slower; the tests check the two agree).
+    slower; the tests check the two agree, growing each step with
+    brute_extendable, which shares no code with the walk).
 
     Returns Unreachable when no acceptable sequence of that length exists,
     Indeterminate when the node budget runs out first.

@@ -8,8 +8,8 @@ membership tests and whole-system comparisons are single int operations.
 That matters: the census sweeps all ``n * 2^(n^2) * 2^(n^2)`` systems.
 
 All types here are immutable values, valid once built: a constructor that
-is handed a bad color count, origin, mask, coloring domain or witness
-shape raises InputError, so nothing downstream re-checks them.  They are
+is handed a bad color count, origin, mask, coloring domain, witness shape
+or verdict field raises InputError, so nothing downstream re-checks them.  They are
 safe to share across threads or processes.
 """
 
@@ -97,6 +97,11 @@ class ColoringSystem:
         h_mask = 0
         v_mask = 0
         for label, pairs in (("horizontal", horizontal), ("vertical", vertical)):
+            try:
+                pairs = list(pairs)
+            except TypeError:
+                problems.append(f"{label} relation {pairs!r} is not a collection of pairs")
+                continue
             for pair in pairs:
                 try:
                     c, d = pair
@@ -150,17 +155,6 @@ def _mask_to_pairs(mask: int, n: int) -> list[tuple[int, int]]:
 # _least_h holds the H half of that rule; canonicalize and the census (one
 # call per run of equal origin and H) finish it with the least perm(V).
 # ---------------------------------------------------------------------------
-
-
-def apply_bijection(sys: ColoringSystem, perm: tuple[int, ...]) -> ColoringSystem:
-    """Rename colors: color c becomes perm[c]."""
-    n = sys.n
-    return ColoringSystem(
-        n=n,
-        origin=perm[sys.origin],
-        h_mask=_permute_mask(sys.h_mask, perm, n),
-        v_mask=_permute_mask(sys.v_mask, perm, n),
-    )
 
 
 def _permute_mask(mask: int, perm: tuple[int, ...], n: int) -> int:
@@ -233,7 +227,10 @@ class TriangleColoring:
     seq: tuple[int, ...]
 
     def __post_init__(self):
-        seq = tuple(self.seq)
+        try:
+            seq = tuple(self.seq)
+        except TypeError:
+            raise InputError(f"coloring sequence {self.seq!r} is not iterable") from None
         object.__setattr__(self, "seq", seq)
         if not seq:
             raise InputError("a coloring sequence must have at least one element")
@@ -250,7 +247,10 @@ class TriangleColoring:
             raise InputError(f"depth {depth!r} is not an int")
         if depth < 0:
             raise InputError(f"depth {depth} is negative")
-        size = sum(len(row) for row in rows)
+        try:
+            size = sum(len(row) for row in rows)
+        except TypeError:
+            raise InputError(f"rows {rows!r} are not a list of rows") from None
         if size != depth + 1:
             raise InputError(f"domain has {size} tiles, expected {depth + 1}")
         xs, ss = _geometry(depth + 1)
@@ -326,6 +326,10 @@ class Bounded:
 
     max_len: int
 
+    def __post_init__(self):
+        if not (_is_int(self.max_len) and self.max_len >= 1):
+            raise InputError(f"max_len must be an int >= 1, got {self.max_len!r}")
+
 
 @dataclass(frozen=True)
 class HasColoring:
@@ -340,6 +344,14 @@ class Unknown:
 
     depth_reached: int
     period_cap_reached: int
+
+    def __post_init__(self):
+        if not (_is_int(self.depth_reached) and self.depth_reached >= 0):
+            raise InputError(f"depth_reached must be an int >= 0, got {self.depth_reached!r}")
+        if not (_is_int(self.period_cap_reached) and self.period_cap_reached >= 1):
+            raise InputError(
+                f"period_cap_reached must be an int >= 1, got {self.period_cap_reached!r}"
+            )
 
 
 Verdict = Union[Bounded, HasColoring, Unknown]

@@ -111,20 +111,39 @@ def brute_torus_colorings(sys, p, q):
     return out
 
 
+def brute_extendable(sys, prefix, horizon):
+    """The colors c such that prefix + (c,) is accepted and grows, one color
+    at a time, to an accepted sequence of length max(horizon, len(prefix) + 1),
+    each step re-checked from scratch: the per-step oracle for chains."""
+    target = max(horizon, len(prefix) + 1)
+
+    def reaches(seq):
+        return brute_accepted(sys, seq) and (
+            len(seq) >= target or any(reaches(seq + (d,)) for d in range(sys.n))
+        )
+
+    return frozenset(c for c in range(sys.n) if reaches(tuple(prefix) + (c,)))
+
+
+def brute_rename(sys, perm):
+    """Color c becomes perm[c].  The renamed masks are built pair by pair
+    from h_allows / v_allows, so no renaming code is shared with the engine:
+    pair (c, d) of a relation is bit c * n + d of its mask."""
+    n = sys.n
+
+    def renamed(allows):
+        return sum(1 << (perm[c] * n + perm[d]) for c in range(n) for d in range(n) if allows(c, d))
+
+    return qc.ColoringSystem(n, perm[sys.origin], renamed(sys.h_allows), renamed(sys.v_allows))
+
+
 def brute_canonicalize(sys):
     """canonicalize from its definition: the least renamed system over the
     bijections that take the origin to 0, the first in permutations order
-    winning a tie, and that bijection.  The renamed masks are built pair by
-    pair from h_allows / v_allows, so no renaming code is shared with the
-    engine: pair (c, d) of a relation is bit c * n + d of its mask."""
-    n = sys.n
-
-    def renamed(allows, perm):
-        return sum(1 << (perm[c] * n + perm[d]) for c in range(n) for d in range(n) if allows(c, d))
-
+    winning a tie, and that bijection, renamed by brute_rename."""
     renamings = [
-        (qc.ColoringSystem(n, 0, renamed(sys.h_allows, perm), renamed(sys.v_allows, perm)), perm)
-        for perm in permutations(range(n))
+        (brute_rename(sys, perm), perm)
+        for perm in permutations(range(sys.n))
         if perm[sys.origin] == 0
     ]
     return min(renamings, key=lambda pair: (pair[0].h_mask, pair[0].v_mask))

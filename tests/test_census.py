@@ -15,7 +15,13 @@ import pytest
 import quadcolor as qc
 from quadcolor import census, systems
 from quadcolor.census import census_records
-from conftest import brute_canonicalize, brute_max_length, brute_torus_colorings, random_system
+from conftest import (
+    brute_canonicalize,
+    brute_max_length,
+    brute_rename,
+    brute_torus_colorings,
+    random_system,
+)
 
 CAPS = qc.SearchBudget(depth_cap=32, period_cap=4)
 
@@ -218,7 +224,7 @@ def test_verdicts_invariant_under_transposition():
         other = qc.classify(qc.ColoringSystem(s.n, s.origin, s.v_mask, s.h_mask), budget)
         assert qc.verdict_kind(other) == qc.verdict_kind(base), s
         if isinstance(base, qc.Bounded):
-            assert qc.diagonal_of(other.max_len) == qc.diagonal_of(base.max_len), s
+            assert sum(qc.tile_at(other.max_len)) == sum(qc.tile_at(base.max_len)), s
         if s.n == 3:
             kinds.add(qc.verdict_kind(base))
     assert kinds == {"bounded", "has_coloring", "unknown"}
@@ -335,7 +341,7 @@ def _tie_counts(sys):
     """How many origin-fixing bijections reach the least renamed H, and how
     many reach the canonical form itself."""
     renamed = [
-        qc.apply_bijection(sys, perm)
+        brute_rename(sys, perm)
         for perm in itertools.permutations(range(sys.n))
         if perm[sys.origin] == 0
     ]
@@ -348,7 +354,7 @@ def test_run_canonicalization_matches_canonicalize(monkeypatch):
     # the census canonicalizes once per run of equal (origin, H); every
     # system must still get canonicalize's id and its first bijection, as
     # the brute-force definition works them out
-    monkeypatch.setattr(census, "classify", lambda sys, budget: qc.Unknown(0, 0))
+    monkeypatch.setattr(census, "classify", lambda sys, budget: qc.Unknown(0, 1))
     rng = random.Random(7)
     ranges = [(2, index, index + 1) for index in range(qc.total_systems(2))]
     ranges.append((2, 0, qc.total_systems(2)))
@@ -595,6 +601,24 @@ def test_resume_truncates_torn_tail(tmp_path):
     qc.run_census(2, CAPS, out_path=str(out), stop_after=40)
     with open(out, "a") as fh:
         fh.write('{"system_index": 40, "canonical')  # interrupted mid-record
+    summary = qc.run_census(2, CAPS, out_path=str(out), resume=True)
+    assert qc.summary_to_json(summary) == N2_SUMMARY
+    assert len(out.read_text().splitlines()) == 512
+
+
+def test_resume_truncates_at_a_record_with_a_bad_field(tmp_path):
+    # a record that parses as JSON but whose verdict cannot be built ends
+    # the good run: resume cuts the file there and rewrites the rest
+    out = tmp_path / "bad.jsonl"
+    qc.run_census(2, CAPS, out_path=str(out), stop_after=40)
+    lines = out.read_text().splitlines(keepends=True)
+    bad = next(i for i, line in enumerate(lines) if '"verdict":"bounded"' in line)
+    record = json.loads(lines[bad])
+    record["detail"]["max_len"] = -4
+    lines[bad] = json.dumps(record, separators=(",", ":")) + "\n"
+    out.write_text("".join(lines))
+    assert qc.run_census(2, CAPS, out_path=str(out), resume=True, stop_after=0) is None
+    assert out.read_text() == "".join(lines[:bad])
     summary = qc.run_census(2, CAPS, out_path=str(out), resume=True)
     assert qc.summary_to_json(summary) == N2_SUMMARY
     assert len(out.read_text().splitlines()) == 512

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tile_strategy
-from quadcolor import diagonal, diagonal_of, tile_at, tile_index, triangular
+from quadcolor import diagonal, tile_at, tile_index, triangular
 from quadcolor.diagonal import MAX_COORD_SUM
 
 # the 15 tiles of the worked counting figure, bottom-left corner of the grid
@@ -51,12 +51,6 @@ def test_roundtrip_from_index(k):
     assert tile_index(x, y) == k
 
 
-@given(st.integers(0, 10**9))
-def test_diagonal_of_matches_tile(k):
-    x, y = tile_at(k)
-    assert diagonal_of(k) == x + y
-
-
 @given(st.integers(1, 10**9))
 def test_neighbor_offsets(k):
     """The left and below neighbors of index k sit at k-s-1 and k-s: the
@@ -86,7 +80,7 @@ def test_out_of_range_rejected():
         (tile_at, (2.0,)), (tile_at, (float(1 << 30),)),
         # values that do not compare with 0 reach the same error
         (tile_at, ("3",)), (tile_at, (None,)), (tile_index, ("a", 0)),
-        (tile_index, (0, None)), (diagonal_of, ("3",)),
+        (tile_index, (0, None)),
     ):
         with pytest.raises(ValueError, match=r"\bints?\b"):
             call(*args)

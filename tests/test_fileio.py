@@ -141,6 +141,21 @@ def test_verdict_roundtrips():
         qc.parse_verdict({"max_len": 7})
     with pytest.raises(qc.FileFormatError):
         qc.parse_verdict({"kind": "bounded", "max_len": 7, "note": "hi"})
+    # fields out of range, or bools, are rejected by the verdicts themselves,
+    # and the parser names the field
+    unknown = {"kind": "unknown", "depth_reached": 64, "period_cap_reached": 4}
+    for field, bad in (
+        ("max_len", -4), ("max_len", 0), ("max_len", True), ("max_len", 2.0),
+        ("depth_reached", -1), ("depth_reached", False),
+        ("period_cap_reached", 0), ("period_cap_reached", True),
+    ):
+        obj = {"kind": "bounded", "max_len": bad} if field == "max_len" else {**unknown, field: bad}
+        with pytest.raises(qc.FileFormatError, match=field):
+            qc.parse_verdict(obj)
+        fields = {k: v for k, v in obj.items() if k != "kind"}
+        with pytest.raises(qc.InputError, match=field):
+            (qc.Bounded if field == "max_len" else qc.Unknown)(**fields)
+    assert qc.Unknown(depth_reached=0, period_cap_reached=1).depth_reached == 0
 
 
 def test_coloring_dispatch(example_sequence, example_triangle):

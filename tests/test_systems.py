@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadcolor as qc
-from conftest import brute_canonicalize, brute_torus_colorings, random_system, system_strategy
+from conftest import (
+    brute_canonicalize,
+    brute_rename,
+    brute_torus_colorings,
+    random_system,
+    system_strategy,
+)
 
 
 def test_from_pairs_builds_masks():
@@ -31,6 +37,10 @@ def test_from_pairs_collects_all_problems():
         qc.ColoringSystem.from_pairs(2, 0, [(0, 1, 1), (0, 9)], [5, (1, 0)])
     msg = str(err.value)
     assert "(0, 1, 1)" in msg and "(0, 9)" in msg and "pair 5 " in msg
+    # so is a relation that is no collection at all
+    for horizontal, vertical in ((None, []), ([], 7)):
+        with pytest.raises(qc.InputError, match="relation"):
+            qc.ColoringSystem.from_pairs(2, 0, horizontal, vertical)
 
 
 def test_bools_are_not_colors():
@@ -139,20 +149,12 @@ def test_swap_example_canonicalizes_to_zero_origin():
     assert qc.is_isomorphic(s, canon)
 
 
-def test_apply_bijection_composes():
-    s = qc.ColoringSystem.from_pairs(3, 2, [(0, 1), (2, 2)], [(1, 2)])
-    p1 = (1, 2, 0)
-    p2 = (2, 0, 1)
-    composed = tuple(p2[p1[c]] for c in range(3))
-    assert qc.apply_bijection(qc.apply_bijection(s, p1), p2) == qc.apply_bijection(s, composed)
-
-
 @given(system_strategy(max_colors=4), st.randoms(use_true_random=False))
 @settings(max_examples=150)
 def test_canonical_form_invariant_under_renaming(s, rng):
     perm = list(range(s.n))
     rng.shuffle(perm)
-    renamed = qc.apply_bijection(s, tuple(perm))
+    renamed = brute_rename(s, perm)
     assert qc.canonical_form(renamed) == qc.canonical_form(s)
     assert qc.canonical_id(renamed) == qc.canonical_id(s)
     assert qc.is_isomorphic(s, renamed)
@@ -163,7 +165,7 @@ def test_canonical_form_invariant_under_renaming(s, rng):
 def test_canonicalize_returns_achieving_bijection(s):
     canon, perm = qc.canonicalize(s)
     assert (canon, perm) == brute_canonicalize(s)
-    assert qc.apply_bijection(s, perm) == canon
+    assert brute_rename(s, perm) == canon
     assert qc.canonical_form(canon) == canon
 
 
@@ -226,6 +228,14 @@ def test_from_rows_rejects_wrong_domains():
         qc.TriangleColoring.from_rows(1, [[1], [2], [3]])
     with pytest.raises(qc.InputError):
         qc.TriangleColoring(())
+    # input that is no sequence, or no list of rows, is an input error too
+    for bad in (5, None):
+        with pytest.raises(qc.InputError):
+            qc.TriangleColoring(bad)
+        with pytest.raises(qc.InputError):
+            qc.TriangleColoring.from_rows(0, bad)
+        with pytest.raises(qc.InputError):
+            qc.TriangleColoring.from_rows(0, [bad])
 
 
 def test_full_triangle_depth():
