@@ -9,8 +9,8 @@ That matters: the census sweeps all ``n * 2^(n^2) * 2^(n^2)`` systems.
 
 All types here are immutable values, valid once built: a constructor that
 is handed a bad color count, origin, mask, coloring domain, witness shape
-or verdict field raises InputError, so nothing downstream re-checks them.  They are
-safe to share across threads or processes.
+or verdict field raises InputError, so nothing downstream re-checks them.
+They are safe to share across threads or processes.
 """
 
 from __future__ import annotations
@@ -248,9 +248,10 @@ class TriangleColoring:
         if depth < 0:
             raise InputError(f"depth {depth} is negative")
         try:
-            size = sum(len(row) for row in rows)
+            rows = [list(row) for row in rows]
         except TypeError:
             raise InputError(f"rows {rows!r} are not a list of rows") from None
+        size = sum(map(len, rows))
         if size != depth + 1:
             raise InputError(f"domain has {size} tiles, expected {depth + 1}")
         xs, ss = _geometry(depth + 1)

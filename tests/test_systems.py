@@ -236,6 +236,9 @@ def test_from_rows_rejects_wrong_domains():
             qc.TriangleColoring.from_rows(0, bad)
         with pytest.raises(qc.InputError):
             qc.TriangleColoring.from_rows(0, [bad])
+    # any iterable of iterables is rows, read once
+    rows = iter([iter([0, 2]), iter([1])])
+    assert qc.TriangleColoring.from_rows(2, rows) == qc.TriangleColoring((0, 1, 2))
 
 
 def test_full_triangle_depth():
