@@ -24,18 +24,9 @@ from .diagonal import tile_at, tile_index, triangular
 from .fileio import (
     FileFormatError,
     load_coloring,
-    load_sequence,
     load_system,
-    load_triangle,
-    load_witness,
     parse_system,
-    parse_verdict,
-    save_sequence,
-    save_system,
-    save_triangle,
-    save_witness,
     system_to_json,
-    triangle_to_json,
     verdict_to_json,
     witness_to_json,
 )
@@ -111,21 +102,13 @@ __all__ = [
     "is_isomorphic",
     "length_profile",
     "load_coloring",
-    "load_sequence",
     "load_system",
-    "load_triangle",
-    "load_witness",
     "max_accept_length",
     "parse_record_line",
     "parse_system",
-    "parse_verdict",
     "record_line",
     "render_triangle",
     "run_census",
-    "save_sequence",
-    "save_system",
-    "save_triangle",
-    "save_witness",
     "summary_to_json",
     "system_at",
     "system_index",
@@ -134,7 +117,6 @@ __all__ = [
     "tile_index",
     "total_systems",
     "triangular",
-    "triangle_to_json",
     "verdict_kind",
     "verdict_to_json",
     "witness_to_json",

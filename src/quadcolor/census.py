@@ -32,8 +32,8 @@ from .fileio import (
     FileFormatError,
     _as_int,
     _require_keys,
-    _verdict_from_fields,
     dump_pretty,
+    parse_witness,
 )
 from .search import SearchBudget, classify
 from .systems import (
@@ -42,6 +42,7 @@ from .systems import (
     ColoringSystem,
     HasColoring,
     InputError,
+    Unknown,
     Verdict,
     _is_int,
     _least_h,
@@ -272,6 +273,26 @@ def _line(index: int, cid: str, verdict: Verdict, perm: tuple) -> str:
         f'{{"system_index":{index},"canonical_id":"{cid}",'
         f'"verdict":"{kind}","detail":{detail}}}'
     )
+
+
+def _verdict_from_fields(kind, fields, what: str) -> Verdict:
+    """The verdict of ``kind`` with these fields: max_len for bounded, the
+    witness's own p, q and cells for has_coloring, depth_reached and
+    period_cap_reached for unknown.  This is the detail object _line writes."""
+    if kind == "has_coloring":
+        return HasColoring(witness=parse_witness(fields, what))
+    if kind == "bounded":
+        cls, keys = Bounded, ("max_len",)
+    elif kind == "unknown":
+        cls, keys = Unknown, ("depth_reached", "period_cap_reached")
+    else:
+        raise FileFormatError(f"{what}: unknown verdict kind {kind!r}")
+    _require_keys(fields, keys, what)
+    values = {key: _as_int(fields[key], f"{what}.{key}") for key in keys}
+    try:
+        return cls(**values)
+    except InputError as exc:
+        raise FileFormatError(f"{what}: {exc}") from None
 
 
 def parse_record_line(n: int, line: str) -> CensusRecord:

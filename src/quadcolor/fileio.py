@@ -1,14 +1,22 @@
-"""On-disk interchange formats.
+"""The JSON files the command line reads and writes.
 
-Everything is JSON with a fixed key layout so that equal values always
-serialize to equal bytes:
+Every format has a fixed key layout, so equal values serialize to equal
+bytes.  Read:
 
 * system     {"colors": n, "origin": a, "horizontal": [[c, d], ...],
-              "vertical": [[c, d], ...]}  with both pair lists sorted
-* sequence   [c0, c1, ...]  one line
-* triangle   {"depth": k, "rows": [[...], ...]}  rows bottom-up
-* witness    {"p": p, "q": q, "cells": [[...], ...]}  cells[y][x]
-* verdict    {"kind": ..., ...kind-specific fields}
+              "vertical": [[c, d], ...]}  by every command that takes one
+* coloring   by check and render, told apart by shape:
+  sequence   [c0, c1, ...]
+  triangle   {"depth": k, "rows": [[...], ...]}  rows bottom-up
+  witness    {"p": p, "q": q, "cells": [[...], ...]}  cells[y][x]
+
+Written:
+
+* system     by canon, with both pair lists sorted
+* verdict    by classify: {"kind": ..., ...kind-specific fields}
+
+Census records, cursors and summaries belong to census.py, palettes to
+cli.py, and images to render.py.
 
 Parsers are strict: unknown keys, non-integer entries, duplicate pairs
 and booleans posing as ints are all rejected with an InputError naming
@@ -47,11 +55,6 @@ def load_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _as_int(value, what: str) -> int:
@@ -114,10 +117,6 @@ def parse_system(obj, what: str = "system") -> ColoringSystem:
     return ColoringSystem.from_pairs(n, origin, pair_lists["horizontal"], pair_lists["vertical"])
 
 
-def save_system(sys: ColoringSystem, path: str) -> None:
-    _write_text(path, dump_pretty(system_to_json(sys)))
-
-
 def load_system(path: str) -> ColoringSystem:
     return parse_system(load_json(path), what=path)
 
@@ -125,24 +124,8 @@ def load_system(path: str) -> ColoringSystem:
 # -- sequences, triangles, witnesses -----------------------------------------
 
 
-def sequence_to_json(seq) -> list:
-    return _as_int_list(list(seq), "sequence")
-
-
 def parse_sequence(obj, what: str = "sequence") -> tuple:
     return tuple(_as_int_list(obj, what))
-
-
-def save_sequence(seq, path: str) -> None:
-    _write_text(path, json.dumps(sequence_to_json(seq)) + "\n")
-
-
-def load_sequence(path: str) -> tuple:
-    return parse_sequence(load_json(path), what=path)
-
-
-def triangle_to_json(tri: TriangleColoring) -> dict:
-    return {"depth": tri.depth, "rows": tri.rows()}
 
 
 def parse_triangle(obj, what: str = "triangle") -> TriangleColoring:
@@ -153,14 +136,6 @@ def parse_triangle(obj, what: str = "triangle") -> TriangleColoring:
         raise FileFormatError(f"{what}.rows must be an array of rows")
     rows = [_as_int_list(row, f"{what}.rows[{y}]") for y, row in enumerate(raw)]
     return TriangleColoring.from_rows(depth, rows)
-
-
-def save_triangle(tri: TriangleColoring, path: str) -> None:
-    _write_text(path, dump_pretty(triangle_to_json(tri)))
-
-
-def load_triangle(path: str) -> TriangleColoring:
-    return parse_triangle(load_json(path), what=path)
 
 
 def witness_to_json(w: PeriodicWitness) -> dict:
@@ -181,14 +156,6 @@ def parse_witness(obj, what: str = "witness") -> PeriodicWitness:
         raise FileFormatError(f"{what}: {exc}") from None
 
 
-def save_witness(w: PeriodicWitness, path: str) -> None:
-    _write_text(path, dump_pretty(witness_to_json(w)))
-
-
-def load_witness(path: str) -> PeriodicWitness:
-    return parse_witness(load_json(path), what=path)
-
-
 # -- verdicts -----------------------------------------------------------------
 
 
@@ -204,38 +171,6 @@ def verdict_to_json(v: Verdict) -> dict:
             "period_cap_reached": v.period_cap_reached,
         }
     raise TypeError(f"not a verdict: {v!r}")
-
-
-def parse_verdict(obj, what: str = "verdict") -> Verdict:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise FileFormatError(f"{what} must be an object with a 'kind' key")
-    kind = obj["kind"]
-    fields = {key: value for key, value in obj.items() if key != "kind"}
-    if kind == "has_coloring":
-        _require_keys(fields, ("witness",), what)
-        fields, what = fields["witness"], f"{what}.witness"
-    return _verdict_from_fields(kind, fields, what)
-
-
-def _verdict_from_fields(kind, fields, what: str) -> Verdict:
-    """The verdict of ``kind`` with these fields: max_len for bounded, the
-    witness's own p, q and cells for has_coloring, depth_reached and
-    period_cap_reached for unknown.  A census record's detail object has
-    this shape."""
-    if kind == "has_coloring":
-        return HasColoring(witness=parse_witness(fields, what))
-    if kind == "bounded":
-        cls, keys = Bounded, ("max_len",)
-    elif kind == "unknown":
-        cls, keys = Unknown, ("depth_reached", "period_cap_reached")
-    else:
-        raise FileFormatError(f"{what}: unknown verdict kind {kind!r}")
-    _require_keys(fields, keys, what)
-    values = {key: _as_int(fields[key], f"{what}.{key}") for key in keys}
-    try:
-        return cls(**values)
-    except InputError as exc:
-        raise FileFormatError(f"{what}: {exc}") from None
 
 
 # -- colorings of unspecified shape -------------------------------------------

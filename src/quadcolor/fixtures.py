@@ -70,7 +70,3 @@ def example_system() -> ColoringSystem:
 
 def example_triangle() -> TriangleColoring:
     return TriangleColoring.from_rows(TRIANGLE_DEPTH, [list(row) for row in TRIANGLE_ROWS])
-
-
-def example_sequence() -> tuple:
-    return example_triangle().seq

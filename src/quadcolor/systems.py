@@ -15,6 +15,7 @@ They are safe to share across threads or processes.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterable, Union
@@ -41,6 +42,14 @@ def _int_type(t: type) -> bool:
 
 def _is_int(value) -> bool:
     return _int_type(type(value))
+
+
+def _in_order(items) -> list:
+    """items as a list.  A set or a mapping raises TypeError: the order it
+    iterates in is not one its caller gave, so it is no pair or row."""
+    if isinstance(items, (Set, Mapping)):
+        raise TypeError(f"a {type(items).__name__} has no order")
+    return list(items)
 
 
 def _origin_problems(n: int, origin: int) -> list[str]:
@@ -104,9 +113,9 @@ class ColoringSystem:
                 continue
             for pair in pairs:
                 try:
-                    c, d = pair
+                    c, d = _in_order(pair)
                 except (TypeError, ValueError):
-                    problems.append(f"{label} pair {pair!r} is not two colors")
+                    problems.append(f"{label} pair {pair!r} is not two colors in order")
                     continue
                 if not (_is_int(c) and _is_int(d) and 0 <= c < n and 0 <= d < n):
                     problems.append(f"{label} pair {pair!r} out of range [0, {n})^2")
@@ -248,9 +257,9 @@ class TriangleColoring:
         if depth < 0:
             raise InputError(f"depth {depth} is negative")
         try:
-            rows = [list(row) for row in rows]
+            rows = [_in_order(row) for row in rows]
         except TypeError:
-            raise InputError(f"rows {rows!r} are not a list of rows") from None
+            raise InputError(f"rows {rows!r} are not a list of ordered rows") from None
         size = sum(map(len, rows))
         if size != depth + 1:
             raise InputError(f"domain has {size} tiles, expected {depth + 1}")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import quadcolor as qc
 from quadcolor import fixtures as fx
+from quadcolor.fileio import dump_pretty
 
 
 @pytest.fixture(scope="session")
@@ -26,7 +27,23 @@ def example_triangle():
 
 @pytest.fixture(scope="session")
 def example_sequence():
-    return fx.example_sequence()
+    return fx.example_triangle().seq
+
+
+def write_json(path, value) -> str:
+    """Write a system, triangle, witness or color sequence to path in the
+    layout the command line reads, and return the path as a string."""
+    if isinstance(value, qc.ColoringSystem):
+        obj = qc.system_to_json(value)
+    elif isinstance(value, qc.TriangleColoring):
+        obj = {"depth": value.depth, "rows": value.rows()}
+    elif isinstance(value, qc.PeriodicWitness):
+        obj = qc.witness_to_json(value)
+    else:
+        obj = list(value)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dump_pretty(obj))
+    return str(path)
 
 
 # -- oracles ------------------------------------------------------------------

@@ -20,7 +20,7 @@ import pytest
 
 import quadcolor as qc
 from quadcolor.cli import main
-from conftest import brute_rename, random_accepted_sequence, random_system
+from conftest import brute_rename, random_accepted_sequence, random_system, write_json
 from test_census import N2_SUMMARY
 
 CAPS = qc.SearchBudget(depth_cap=32, period_cap=4)
@@ -78,10 +78,8 @@ def test_bundled_example_accepted_and_corruptions_rejected(
     tmp_path, example_system, example_triangle
 ):
     t0 = time.perf_counter()
-    sys_path = str(tmp_path / "system.json")
-    tri_path = str(tmp_path / "triangle.json")
-    qc.save_system(example_system, sys_path)
-    qc.save_triangle(example_triangle, tri_path)
+    sys_path = write_json(tmp_path / "system.json", example_system)
+    tri_path = write_json(tmp_path / "triangle.json", example_triangle)
 
     assert example_system.n == 13
     assert len(example_system.h_pairs()) == 36
@@ -114,7 +112,7 @@ def test_bundled_example_accepted_and_corruptions_rejected(
     assert rejected > 0
 
     for bad in cli_samples:
-        qc.save_triangle(bad, tri_path)
+        write_json(tri_path, bad)
         assert main(["check", sys_path, tri_path]) == 1
     _report("bundled example accepted, in-domain corruptions rejected", t0, limit=1.0)
 
@@ -262,12 +260,12 @@ def test_verdicts_invariant_under_renaming():
     t0 = time.perf_counter()
     for index in range(512):
         sys = qc.system_at(2, index)
+        # (1, 0) is the one bijection at n=2 that is not the identity
         base = qc.classify(sys, CAPS)
-        for bijection in ((0, 1), (1, 0)):
-            other = qc.classify(brute_rename(sys, bijection), CAPS)
-            assert qc.verdict_kind(other) == qc.verdict_kind(base), (index, bijection)
-            if isinstance(base, qc.Bounded):
-                assert other.max_len == base.max_len, (index, bijection)
+        other = qc.classify(brute_rename(sys, (1, 0)), CAPS)
+        assert qc.verdict_kind(other) == qc.verdict_kind(base), index
+        if isinstance(base, qc.Bounded):
+            assert other.max_len == base.max_len, index
 
     for n in (1, 2, 3):
         seen = set()

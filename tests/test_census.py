@@ -26,9 +26,10 @@ from conftest import (
 CAPS = qc.SearchBudget(depth_cap=32, period_cap=4)
 
 # Regression pin for the full two-color census at the caps above.  The
-# 22 unknowns are systems that color the whole quadrant without any
-# periodic coloring passing through the origin, so no witness at any
-# period cap can close them.
+# 22 unknowns are systems that color the whole quadrant with no torus
+# coloring through the origin, so no torus witness at any period cap
+# closes them; each of their 11 classes has a rectangle lasso of at most
+# 4 cells (ROADMAP direction 1), a witness kind not yet supported.
 N2_SUMMARY = {
     "n": 2,
     "total_systems": 512,
@@ -119,6 +120,15 @@ def test_record_line_roundtrip():
         assert record_back.system == rec.system
         assert record_back.verdict == rec.verdict
         assert record_back.canonical_id == rec.canonical_id
+    # every verdict kind, whichever the census meets in that range
+    system = qc.system_at(2, 0)
+    for verdict in (
+        qc.Bounded(max_len=7),
+        qc.HasColoring(qc.PeriodicWitness(p=1, q=1, rows=((0,),))),
+        qc.Unknown(depth_reached=64, period_cap_reached=4),
+    ):
+        rec = qc.CensusRecord(0, system, verdict, qc.canonical_id(system))
+        assert qc.parse_record_line(2, qc.record_line(rec)) == rec
 
 
 def test_record_line_parse_is_strict():
@@ -131,6 +141,34 @@ def test_record_line_parse_is_strict():
         qc.parse_record_line(2, good.replace("bounded", "mystery"))
     with pytest.raises(qc.FileFormatError):
         qc.parse_record_line(2, good.replace('"system_index":0', '"system_index":true'))
+
+    def line(**fields):
+        return json.dumps({"system_index": 0, "canonical_id": "2.0.0.0", **fields})
+
+    # no verdict kind, and a stray detail key
+    for bad in (
+        line(detail={"max_len": 7}),
+        line(verdict="bounded", detail={"max_len": 7, "note": "hi"}),
+    ):
+        with pytest.raises(qc.FileFormatError):
+            qc.parse_record_line(2, bad)
+    # detail fields out of range, or bools, are rejected by the verdicts
+    # themselves, and the parser names the field
+    unknown = {"depth_reached": 64, "period_cap_reached": 4}
+    for field, bad in (
+        ("max_len", -4), ("max_len", 0), ("max_len", True), ("max_len", 2.0),
+        ("depth_reached", -1), ("depth_reached", False),
+        ("period_cap_reached", 0), ("period_cap_reached", True),
+    ):
+        if field == "max_len":
+            cls, kind, detail = qc.Bounded, "bounded", {"max_len": bad}
+        else:
+            cls, kind, detail = qc.Unknown, "unknown", {**unknown, field: bad}
+        with pytest.raises(qc.FileFormatError, match=field):
+            qc.parse_record_line(2, line(verdict=kind, detail=detail))
+        with pytest.raises(qc.InputError, match=field):
+            cls(**detail)
+    assert qc.Unknown(depth_reached=0, period_cap_reached=1).depth_reached == 0
 
 
 CAPPED = qc.SearchBudget(depth_cap=12, period_cap=2, node_cap=6)
@@ -228,6 +266,22 @@ def test_verdicts_invariant_under_transposition():
         if s.n == 3:
             kinds.add(qc.verdict_kind(base))
     assert kinds == {"bounded", "has_coloring", "unknown"}
+
+
+def test_every_bounded_n3_class_matches_the_length_profile():
+    # the frontier sweep shares no walk with exhaustion: for each of the
+    # n=3 census's bounded classes at the census budget, it counts
+    # sequences of length max_len and none of length max_len + 1
+    budget = qc.SearchBudget()
+    bounded = {}
+    for _, cid, _, verdict in census._classified(3, budget, 0, qc.total_systems(3), {}):
+        if isinstance(verdict, qc.Bounded) and cid not in bounded:
+            _, _, h, v = cid.split(".")
+            bounded[cid] = (qc.ColoringSystem(3, 0, int(h, 16), int(v, 16)), verdict.max_len)
+    assert len(bounded) == 59_550
+    for cid, (s, max_len) in bounded.items():
+        counts = qc.length_profile(s, qc.SearchBudget(depth_cap=max_len + 1)).counts
+        assert counts[max_len - 1] > 0 and counts[max_len] == 0, cid
 
 
 def test_canonical_id_matches_canonical_form():

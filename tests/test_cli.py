@@ -15,6 +15,7 @@ import pytest
 
 import quadcolor as qc
 from quadcolor.cli import main
+from conftest import write_json
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -22,21 +23,16 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 @pytest.fixture()
 def paths(tmp_path, example_system, example_triangle, example_sequence):
     """The example system plus assorted colorings, saved to disk."""
-    p = {}
-    p["system"] = str(tmp_path / "system.json")
-    qc.save_system(example_system, p["system"])
-    p["triangle"] = str(tmp_path / "triangle.json")
-    qc.save_triangle(example_triangle, p["triangle"])
-    p["sequence"] = str(tmp_path / "sequence.json")
-    qc.save_sequence(example_sequence, p["sequence"])
-    p["tmp"] = tmp_path
-    return p
+    return {
+        "system": write_json(tmp_path / "system.json", example_system),
+        "triangle": write_json(tmp_path / "triangle.json", example_triangle),
+        "sequence": write_json(tmp_path / "sequence.json", example_sequence),
+        "tmp": tmp_path,
+    }
 
 
 def write_system(tmp_path, name, n, origin, h, v):
-    path = str(tmp_path / name)
-    qc.save_system(qc.ColoringSystem.from_pairs(n, origin, h, v), path)
-    return path
+    return write_json(tmp_path / name, qc.ColoringSystem.from_pairs(n, origin, h, v))
 
 
 def test_check_accepts_example(paths, capsys):
@@ -48,8 +44,8 @@ def test_check_accepts_example(paths, capsys):
 def test_check_rejects_corrupted_triangle(paths, capsys, example_triangle):
     rows = [list(r) for r in example_triangle.rows()]
     rows[0][0] = 5  # origin color is pinned; 5 is wrong
-    bad = str(paths["tmp"] / "bad.json")
-    qc.save_triangle(qc.TriangleColoring.from_rows(example_triangle.depth, rows), bad)
+    bad = write_json(paths["tmp"] / "bad.json",
+                     qc.TriangleColoring.from_rows(example_triangle.depth, rows))
     assert main(["check", paths["system"], bad]) == 1
     out = capsys.readouterr().out
     assert out.startswith("rejected: ")
@@ -59,10 +55,10 @@ def test_check_rejects_corrupted_triangle(paths, capsys, example_triangle):
 def test_check_witness(paths, tmp_path, capsys):
     sys_path = write_system(tmp_path, "free.json", 2, 0,
                             [(0, 1), (1, 0)], [(0, 1), (1, 0)])
-    wit_path = str(tmp_path / "wit.json")
-    qc.save_witness(qc.PeriodicWitness(p=2, q=2, rows=((0, 1), (1, 0))), wit_path)
+    wit_path = write_json(tmp_path / "wit.json",
+                          qc.PeriodicWitness(p=2, q=2, rows=((0, 1), (1, 0))))
     assert main(["check", sys_path, wit_path]) == 0
-    qc.save_witness(qc.PeriodicWitness(p=2, q=2, rows=((0, 1), (0, 1))), wit_path)
+    write_json(wit_path, qc.PeriodicWitness(p=2, q=2, rows=((0, 1), (0, 1))))
     assert main(["check", sys_path, wit_path]) == 1
     assert "rejected" in capsys.readouterr().out
 
@@ -131,9 +127,9 @@ def test_solve_exhausted_node_budget(tmp_path, capsys):
 
 def test_classify_emits_verdict_json(paths, capsys):
     assert main(["classify", paths["system"], "--depth-cap", "12"]) == 0
-    verdict = qc.parse_verdict(json.loads(capsys.readouterr().out))
-    assert isinstance(verdict, qc.Unknown)
-    assert verdict.depth_reached == 12
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["kind"] == "unknown"
+    assert verdict["depth_reached"] == 12
 
 
 def test_classify_bad_budget_is_exit_2(paths, capsys):
@@ -182,8 +178,7 @@ def test_render_ppm_to_file(paths, tmp_path):
 
 
 def test_render_witness_expands(tmp_path, capsys):
-    wit_path = str(tmp_path / "wit.json")
-    qc.save_witness(qc.PeriodicWitness(p=2, q=1, rows=((0, 1),)), wit_path)
+    wit_path = write_json(tmp_path / "wit.json", qc.PeriodicWitness(p=2, q=1, rows=((0, 1),)))
     assert main(["render", wit_path, "--depth", "3"]) == 0
     assert capsys.readouterr().out == "0\n0 1\n0 1 0\n0 1 0 1\n"
 

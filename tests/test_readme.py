@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import quadcolor as qc
-from quadcolor import cli, fileio, fixtures
+from quadcolor import cli, fixtures
+from conftest import write_json
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -63,9 +64,10 @@ def test_command_line_transcript(command, exit_code, monkeypatch, capsys):
     assert capsys.readouterr().out == expected
 
 
-def test_fixture_files_hold_the_fixtures_module_data():
-    system = fileio.system_to_json(fixtures.example_system())
-    triangle = fileio.triangle_to_json(fixtures.example_triangle())
-    for name, obj in (("example.system.json", system), ("example.triangle.json", triangle)):
-        data = (ROOT / "fixtures" / name).read_bytes()
-        assert data == fileio.dump_pretty(obj).encode("utf-8"), name
+def test_fixture_files_hold_the_fixtures_module_data(tmp_path):
+    for name, value in (
+        ("example.system.json", fixtures.example_system()),
+        ("example.triangle.json", fixtures.example_triangle()),
+    ):
+        written = Path(write_json(tmp_path / name, value)).read_bytes()
+        assert (ROOT / "fixtures" / name).read_bytes() == written, name

@@ -241,6 +241,21 @@ def test_from_rows_rejects_wrong_domains():
     assert qc.TriangleColoring.from_rows(2, rows) == qc.TriangleColoring((0, 1, 2))
 
 
+def test_unordered_pairs_and_rows_are_refused():
+    # a set or a mapping iterates in an order its caller never gave: a dict
+    # pair would be read by its keys, a set pair or row in hash order
+    for pair in ({1, 0}, frozenset({1, 0}), {0: 1, 1: 0}):
+        for horizontal, vertical in (([pair], []), ([], [pair])):
+            with pytest.raises(qc.InputError, match="is not two colors in order"):
+                qc.ColoringSystem.from_pairs(2, 0, horizontal, vertical)
+    for row in ({2, 0}, frozenset({2, 0}), {2: 0, 0: 2}):
+        with pytest.raises(qc.InputError, match="not a list of ordered rows"):
+            qc.TriangleColoring.from_rows(2, [row, [1]])
+    # every other iterable is still read in its own order
+    assert qc.ColoringSystem.from_pairs(2, 0, [iter((1, 0))], []).h_pairs() == [(1, 0)]
+    assert qc.TriangleColoring.from_rows(2, [(0, 2), range(1, 2)]) == qc.TriangleColoring((0, 1, 2))
+
+
 def test_full_triangle_depth():
     assert [qc.full_triangle_depth(d) for d in range(5)] == [0, 2, 5, 9, 14]
 
