@@ -257,7 +257,7 @@ class TriangleColoring:
         if depth < 0:
             raise InputError(f"depth {depth} is negative")
         try:
-            rows = [_in_order(row) for row in rows]
+            rows = [_in_order(row) for row in _in_order(rows)]
         except TypeError:
             raise InputError(f"rows {rows!r} are not a list of ordered rows") from None
         size = sum(map(len, rows))

@@ -251,6 +251,10 @@ def test_unordered_pairs_and_rows_are_refused():
     for row in ({2, 0}, frozenset({2, 0}), {2: 0, 0: 2}):
         with pytest.raises(qc.InputError, match="not a list of ordered rows"):
             qc.TriangleColoring.from_rows(2, [row, [1]])
+    # nor is a set of rows read as bottom-up
+    for rows in ({(0, 2), (1,)}, frozenset({(0, 2), (1,)})):
+        with pytest.raises(qc.InputError, match="not a list of ordered rows"):
+            qc.TriangleColoring.from_rows(2, rows)
     # every other iterable is still read in its own order
     assert qc.ColoringSystem.from_pairs(2, 0, [iter((1, 0))], []).h_pairs() == [(1, 0)]
     assert qc.TriangleColoring.from_rows(2, [(0, 2), range(1, 2)]) == qc.TriangleColoring((0, 1, 2))
