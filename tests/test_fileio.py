@@ -1,5 +1,7 @@
 """Interchange format roundtrips and strictness of the parsers."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 
@@ -110,6 +112,30 @@ def test_parse_witness_checks_grid_shape():
     ):
         with pytest.raises(qc.FileFormatError):
             parse_witness(bad)
+
+
+def test_verdict_roundtrips():
+    # classify prints verdict_to_json, and a census record's detail holds
+    # the same fields, so each kind reads back through the record parser
+    system = qc.system_at(2, 0)
+    for v in (
+        qc.Bounded(max_len=7),
+        qc.HasColoring(qc.PeriodicWitness(p=1, q=1, rows=((0,),))),
+        qc.Unknown(depth_reached=64, period_cap_reached=4),
+    ):
+        obj = qc.verdict_to_json(v)
+        assert obj["kind"] == qc.verdict_kind(v)
+        fields = {key: value for key, value in obj.items() if key != "kind"}
+        detail = fields["witness"] if isinstance(v, qc.HasColoring) else fields
+        line = json.dumps({
+            "system_index": 0,
+            "canonical_id": qc.canonical_id(system),
+            "verdict": obj["kind"],
+            "detail": detail,
+        })
+        assert qc.parse_record_line(2, line).verdict == v
+    with pytest.raises(TypeError, match="not a verdict"):
+        qc.verdict_to_json(qc.PeriodicWitness(p=1, q=1, rows=((0,),)))
 
 
 def test_coloring_dispatch(example_sequence, example_triangle):
