@@ -27,15 +27,22 @@ filtration) but lets bounded systems die fast.
 The length profile sweeps frontier words level by level, not the tree,
 merging prefixes that end in the same word and counting them together.
 
+Every search reads a relation's tables (successors, predecessors,
+self-loops and the colors with a successor) from systems._relation,
+which derives them once per (n, mask) and shares them across every
+system with that mask and every decider here; none re-derives them per
+system.
+
 classify decides a system in four steps, cheapest first: an origin color
-with both self-loops, a 1-D shadow (a coloring constant along x, y, x + y
-or x - y, read off four n-node graphs with no search), exhaustion of the
-sequence tree, and a torus search over row graphs.  A shadow colors the
-quadrant, so where no node cap is set it stands in for the dive to the
-depth cap that exhaustion would make.  The torus search reads its period
-order from a cache (_periods) and skips each width with no row in the
-origin color.  Its row graphs keep their H half, and a memo of the unions
-their V half reads, cached by H's table (_wrap_rows).
+with both self-loops (one bit test, answered by one shared constant
+verdict per origin color), a 1-D shadow (a coloring constant along x, y,
+x + y or x - y, read off four n-node graphs with no search), exhaustion
+of the sequence tree, and a torus search over row graphs.  A shadow
+colors the quadrant, so where no node cap is set it stands in for the
+dive to the depth cap that exhaustion would make.  The torus search reads
+its period order from a cache (_periods) and skips each width with no row
+in the origin color.  Its row graphs keep their H half, and a memo of the
+unions their V half reads, cached by H's table (_wrap_rows).
 """
 
 from __future__ import annotations
@@ -50,10 +57,12 @@ from .systems import (
     ColoringSystem,
     HasColoring,
     InputError,
+    MAX_COLORS,
     PeriodicWitness,
     Unknown,
     Verdict,
     _is_int,
+    _relation,
 )
 
 
@@ -170,13 +179,8 @@ def _leaves(
     full = (1 << n) - 1
     h = sys.h_next + (full,)
     v = sys.v_next + (full,)
-    live_h = 0
-    live_v = 0
-    for c in range(n):
-        if h[c]:
-            live_h |= 1 << c
-        if v[c]:
-            live_v |= 1 << c
+    live_h = _relation(n, sys.h_mask).live
+    live_v = _relation(n, sys.v_mask).live
     left, below = _slots(target)
     seq = [n] * (target + 1)
     seq[1:k + 1] = prefix
@@ -486,41 +490,41 @@ def _shadows(sys: ColoringSystem) -> Iterator[bool]:
       t = x - y: c -> e iff (c, e) in H and (e, c) in V, since the tile
                  above (x, y) carries f(t - 1).  t runs over all of Z here,
                  so the origin needs an infinite walk backward as well.
-    Each answer is a test on an n-node graph, with no search.
+    Each answer is a test on an n-node graph, with no search.  The graphs
+    are read off the masks' shared tables (systems._relation): the loops
+    pick the nodes of t = x and t = y, and the x - y graph and its
+    transpose are the successor tables ANDed with the predecessor ones.
     """
     n = sys.n
     o = sys.origin
-    h = sys.h_next
-    v = sys.v_next
+    h, h_prev, h_loops, _ = _relation(n, sys.h_mask)
+    v, v_prev, v_loops, _ = _relation(n, sys.v_mask)
     if not (h[o] and v[o]):
         # every kind steps from the origin by H, and to or from it by V
         yield from (False, False, False, False)
         return
     full = (1 << n) - 1
-    v_loops = h_loops = 0
-    for c in range(n):
-        if v[c] >> c & 1:
-            v_loops |= 1 << c
-        if h[c] >> c & 1:
-            h_loops |= 1 << c
     yield bool(_walkers(h, v_loops) >> o & 1)
     yield bool(_walkers(v, h_loops) >> o & 1)
     yield bool(_walkers([hc & vc for hc, vc in zip(h, v)], full) >> o & 1)
-    step = [0] * n
-    back = [0] * n
-    for c in range(n):
-        for e in range(n):
-            if h[c] >> e & 1 and v[e] >> c & 1:
-                step[c] |= 1 << e
-                back[e] |= 1 << c
+    # step[c]: the e with (c, e) in H and (e, c) in V; back is its transpose
+    step = [hc & pc for hc, pc in zip(h, v_prev)]
+    back = [vc & pc for vc, pc in zip(v, h_prev)]
     yield bool((_walkers(step, full) & _walkers(back, full)) >> o & 1)
+
+
+# The verdict of an origin color with both self-loops, one object per color:
+# the constant 1x1 torus.
+_CONSTANT = tuple(HasColoring(PeriodicWitness(p=1, q=1, rows=((c,),))) for c in range(MAX_COLORS))
 
 
 def classify(sys: ColoringSystem, budget: SearchBudget) -> Verdict:
     """Full verdict for one system, in four steps.
 
     1. An origin color with an H and a V self-loop colors the quadrant
-       constantly, and the 1x1 torus is returned without search.
+       constantly.  One bit test of the two masks finds it, and the
+       verdict is the constant 1x1 torus, one shared object per origin
+       color, returned without search.
     2. Without a node cap, a 1-D shadow (_shadows) proves that the
        quadrant has a coloring.  Its first depth_cap tiles are then an
        accepted sequence, so exhaustion would return ReachedCap(depth_cap)
@@ -540,8 +544,8 @@ def classify(sys: ColoringSystem, budget: SearchBudget) -> Verdict:
     Indeterminate, whose max_seen the Unknown verdict records.
     """
     o = sys.origin
-    if sys.h_allows(o, o) and sys.v_allows(o, o):
-        return HasColoring(PeriodicWitness(p=1, q=1, rows=((o,),)))
+    if (sys.h_mask & sys.v_mask) >> (o * sys.n + o) & 1:
+        return _CONSTANT[o]
     if budget.node_cap is None and any(_shadows(sys)):
         result = ReachedCap(budget.depth_cap)
     else:

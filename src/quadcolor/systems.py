@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .diagonal import _geometry, triangular
 
@@ -62,6 +63,36 @@ def _origin_problems(n: int, origin: int) -> list[str]:
     return []
 
 
+class _Relation(NamedTuple):
+    """One relation mask's tables, over colors 0..n-1."""
+
+    succ: tuple  # succ[c]: the bitmask of the d with (c, d) in the relation
+    pred: tuple  # pred[d]: the bitmask of the c with (c, d) in it
+    loops: int   # the bitmask of the c with (c, c) in it
+    live: int    # the bitmask of the c with some successor
+
+
+@lru_cache(maxsize=4096)
+def _relation(n: int, mask: int) -> _Relation:
+    """The tables of an n*n-bit relation mask, derived once per (n, mask)
+    and shared: every system with this H or V mask, and every decider that
+    reads them, gets the same objects.  The cache holds all 512 masks at
+    n = 3, so a census derives each of them once per process."""
+    row = (1 << n) - 1
+    succ = tuple([mask >> i & row for i in range(0, n * n, n)])
+    pred = [0] * n
+    loops = live = 0
+    for c, later in enumerate(succ):
+        if later:
+            live |= 1 << c
+            loops |= later & 1 << c
+        while later:
+            low = later & -later
+            later ^= low
+            pred[low.bit_length() - 1] |= 1 << c
+    return _Relation(succ, tuple(pred), loops, live)
+
+
 @dataclass(frozen=True)
 class ColoringSystem:
     """A coloring system: color count, origin color, and the H/V relations."""
@@ -70,8 +101,9 @@ class ColoringSystem:
     origin: int
     h_mask: int
     v_mask: int
-    # the searches' successor tables, derived once and ignored by ==, hash and
-    # repr: h_next[c] is the bitmask of the d with (c, d) in H; v_next for V
+    # the searches' successor tables, shared by every system with the same
+    # mask (_relation) and ignored by ==, hash and repr: h_next[c] is the
+    # bitmask of the d with (c, d) in H; v_next for V
     h_next: tuple = field(init=False, repr=False, compare=False)
     v_next: tuple = field(init=False, repr=False, compare=False)
 
@@ -87,10 +119,8 @@ class ColoringSystem:
                     problems.append(f"{label} mask {mask!r} has bits outside the {n}x{n} pair grid")
             if problems:
                 raise InputError("; ".join(problems))
-        row = (1 << n) - 1
-        shifts = range(0, n * n, n)
-        object.__setattr__(self, "h_next", tuple([h >> i & row for i in shifts]))
-        object.__setattr__(self, "v_next", tuple([v >> i & row for i in shifts]))
+        object.__setattr__(self, "h_next", _relation(n, h).succ)
+        object.__setattr__(self, "v_next", _relation(n, v).succ)
 
     @classmethod
     def from_pairs(
@@ -236,11 +266,14 @@ class TriangleColoring:
     seq: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            seq = tuple(self.seq)
-        except TypeError:
-            raise InputError(f"coloring sequence {self.seq!r} is not iterable") from None
-        object.__setattr__(self, "seq", seq)
+        seq = self.seq
+        # a tuple is taken as it is: every witness check builds one
+        if type(seq) is not tuple:
+            try:
+                seq = tuple(_in_order(seq))
+            except TypeError:
+                raise InputError(f"coloring sequence {self.seq!r} is not an ordered iterable") from None
+            object.__setattr__(self, "seq", seq)
         if not seq:
             raise InputError("a coloring sequence must have at least one element")
         # one test per element type, not per element: every witness check

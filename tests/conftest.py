@@ -142,6 +142,33 @@ def brute_extendable(sys, prefix, horizon):
     return frozenset(c for c in range(sys.n) if reaches(tuple(prefix) + (c,)))
 
 
+def brute_shadows(sys):
+    """Whether the quadrant has a coloring constant along x, y, x + y and
+    x - y, in that order, from the definitions: each kind's graph is built
+    pair by pair from h_allows / v_allows, and a walk from the origin is
+    infinite when it has n steps, since it then repeats a color and can
+    go round that cycle forever.  The x - y coloring runs over all of Z,
+    so it also needs an n-step walk backward from the origin."""
+    n, o = sys.n, sys.origin
+    colors = range(n)
+    v_loop = [c for c in colors if sys.v_allows(c, c)]
+    h_loop = [c for c in colors if sys.h_allows(c, c)]
+    graphs = [
+        {c: [e for e in v_loop if sys.h_allows(c, e)] for c in v_loop},
+        {c: [e for e in h_loop if sys.v_allows(c, e)] for c in h_loop},
+        {c: [e for e in colors if sys.h_allows(c, e) and sys.v_allows(c, e)] for c in colors},
+        {c: [e for e in colors if sys.h_allows(c, e) and sys.v_allows(e, c)] for c in colors},
+    ]
+    backward = {e: [c for c in colors if e in graphs[3][c]] for e in colors}
+
+    def walks(graph, c, steps):
+        return c in graph and (steps == 0 or any(walks(graph, e, steps - 1) for e in graph[c]))
+
+    found = [walks(graph, o, n) for graph in graphs]
+    found[3] = found[3] and walks(backward, o, n)
+    return found
+
+
 def brute_rename(sys, perm):
     """Color c becomes perm[c].  The renamed masks are built pair by pair
     from h_allows / v_allows, so no renaming code is shared with the engine:

@@ -371,6 +371,25 @@ def test_run_classifies_each_class_once(monkeypatch):
     assert 1 <= len(classified) <= 3
 
 
+def test_a_census_derives_each_mask_table_once(monkeypatch):
+    # a jobs=1 run of the first 8,192 n=3 records builds each of its
+    # relation tables once: at most the 512 n=3 masks, however many
+    # systems and deciders read them
+    classified = []
+
+    def counting(sys, budget):
+        classified.append(sys)
+        return qc.classify(sys, budget)
+
+    monkeypatch.setattr(census, "classify", counting)
+    systems._relation.cache_clear()
+    qc.run_census(3, qc.SearchBudget(), stop_after=8192)
+    info = systems._relation.cache_info()
+    assert 0 < info.misses <= 512, info
+    # every classified system reads its H and V tables at least once
+    assert info.hits + info.misses >= 2 * len(classified) > 1000, (info, len(classified))
+
+
 def test_capped_chunks_match_direct_records(tmp_path, monkeypatch):
     # three chunks of at most _CHUNK_CAP systems, the last one partial
     budget = qc.SearchBudget(depth_cap=12, period_cap=2)

@@ -16,6 +16,7 @@ from conftest import (
     brute_levels,
     brute_max_length,
     brute_sequences,
+    brute_shadows,
     brute_torus_colorings,
     random_system,
     system_strategy,
@@ -427,6 +428,20 @@ def test_a_shadow_means_exhaustion_reaches_the_cap():
         elif isinstance(result, qc.ExactMax):
             bounded += 1
     assert shadowed > 500 and bounded > 500
+
+
+def test_shadows_match_the_brute_oracle():
+    # brute_shadows builds each kind's graph pair by pair and walks it;
+    # _shadows reads the loops and the x - y graph off the shared tables
+    rng = random.Random(24)
+    systems = [qc.system_at(2, index) for index in range(qc.total_systems(2))]
+    systems += [random_system(rng, 3) for _ in range(2000)]
+    found = [0] * 4
+    for s in systems:
+        kinds = brute_shadows(s)
+        assert list(search._shadows(s)) == kinds, s
+        found = [f + k for f, k in zip(found, kinds)]
+    assert min(found) > 0, found  # every kind is exercised
 
 
 # one system per shadow kind that no other kind settles

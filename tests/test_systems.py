@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadcolor as qc
+from quadcolor import systems
 from conftest import (
     brute_canonicalize,
     brute_rename,
@@ -68,9 +69,9 @@ def test_successor_masks_match_pairs():
     # the tables against the mask bits on every pair: every system with
     # n <= 2 and a seeded sample at n = 3..5
     rng = random.Random(16)
-    systems = [qc.system_at(n, i) for n in (1, 2) for i in range(qc.total_systems(n))]
-    systems += [random_system(rng, n) for n in (3, 4, 5) for _ in range(40)]
-    for t in systems:
+    sample = [qc.system_at(n, i) for n in (1, 2) for i in range(qc.total_systems(n))]
+    sample += [random_system(rng, n) for n in (3, 4, 5) for _ in range(40)]
+    for t in sample:
         for c, d in product(range(t.n), repeat=2):
             assert (t.h_next[c] >> d & 1) == t.h_allows(c, d), (t, c, d)
             assert (t.v_next[c] >> d & 1) == t.v_allows(c, d), (t, c, d)
@@ -89,6 +90,28 @@ def test_successor_masks_match_pairs():
     for fields in ("n",), ("origin",), ("h_mask",), ("v_mask",), ("n", "origin", "h_mask", "v_mask"):
         sub = dataclasses.replace(s, **{name: Int(getattr(s, name)) for name in fields})
         assert sub == s and (sub.h_next, sub.v_next) == (s.h_next, s.v_next), fields
+
+
+def test_relation_tables_match_pairs():
+    # every mask at n = 1..3 and a seeded sample at n = 5, against the
+    # pair-by-pair definitions of each table
+    rng = random.Random(24)
+    masks = [(n, mask) for n in (1, 2, 3) for mask in range(1 << n * n)]
+    masks += [(5, rng.getrandbits(25)) for _ in range(200)]
+    for n, mask in masks:
+        pairs = {(c, d) for c, d in product(range(n), repeat=2) if mask >> (c * n + d) & 1}
+        table = systems._relation(n, mask)
+        assert table.succ == tuple(sum(1 << d for d in range(n) if (c, d) in pairs) for c in range(n))
+        assert table.pred == tuple(sum(1 << c for c in range(n) if (c, d) in pairs) for d in range(n))
+        assert table.loops == sum(1 << c for c in range(n) if (c, c) in pairs)
+        assert table.live == sum(1 << c for c in range(n) if any((c, d) in pairs for d in range(n)))
+    # systems with one mask share its table: one h_next object, whatever
+    # the origin or V
+    s = qc.ColoringSystem(3, 0, 0x11C, 0x152)
+    t = qc.ColoringSystem(3, 2, 0x11C, 0x0F0)
+    u = qc.ColoringSystem(3, 1, 0x152, 0x11C)
+    assert s.h_next is t.h_next is u.v_next is systems._relation(3, 0x11C).succ
+    assert s.v_next is u.h_next
 
 
 def test_validate_catches_stray_mask_bits():
@@ -258,6 +281,17 @@ def test_unordered_pairs_and_rows_are_refused():
     # every other iterable is still read in its own order
     assert qc.ColoringSystem.from_pairs(2, 0, [iter((1, 0))], []).h_pairs() == [(1, 0)]
     assert qc.TriangleColoring.from_rows(2, [(0, 2), range(1, 2)]) == qc.TriangleColoring((0, 1, 2))
+
+
+def test_triangle_refuses_an_unordered_sequence():
+    # a set or a mapping iterates in hash order: {2, 0, 1} would be (0, 1, 2)
+    for seq in ({2, 0, 1}, frozenset({2, 0, 1}), {2: 0, 0: 1, 1: 2}):
+        with pytest.raises(qc.InputError, match="is not an ordered iterable"):
+            qc.TriangleColoring(seq)
+    # every other iterable is read in its own order, and a tuple is kept as is
+    assert qc.TriangleColoring(iter([2, 0, 1])).seq == qc.TriangleColoring([2, 0, 1]).seq == (2, 0, 1)
+    seq = (2, 0, 1)
+    assert qc.TriangleColoring(seq).seq is seq
 
 
 def test_full_triangle_depth():
