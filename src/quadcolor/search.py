@@ -27,22 +27,15 @@ filtration) but lets bounded systems die fast.
 The length profile sweeps frontier words level by level, not the tree,
 merging prefixes that end in the same word and counting them together.
 
-Every search reads a relation's tables (successors, predecessors,
-self-loops and the colors with a successor) from systems._relation,
-which derives them once per (n, mask) and shares them across every
-system with that mask and every decider here; none re-derives them per
-system.
-
 classify decides a system in four steps, cheapest first: an origin color
-with both self-loops (one bit test, answered by one shared constant
-verdict per origin color), a 1-D shadow (a coloring constant along x, y,
-x + y or x - y, read off four n-node graphs with no search), exhaustion
-of the sequence tree, and a torus search over row graphs.  A shadow
-colors the quadrant, so where no node cap is set it stands in for the
-dive to the depth cap that exhaustion would make.  The torus search reads
-its period order from a cache (_periods) and skips each width with no row
-in the origin color.  Its row graphs keep their H half, and a memo of the
-unions their V half reads, cached by H's table (_wrap_rows).
+with both self-loops, a 1-D shadow (a coloring constant along x, y, x + y
+or x - y, read off four n-node graphs with no search), exhaustion of the
+sequence tree, and a torus search over row graphs.  A shadow colors the
+quadrant, so where no node cap is set it stands in for the dive to the
+depth cap that exhaustion would make.  The torus search reads its period
+order from a cache (_periods) and skips each width with no row in the
+origin color.  Its row graphs keep their H half, and a memo of the unions
+their V half reads, cached by H's table (_wrap_rows).
 """
 
 from __future__ import annotations
@@ -179,8 +172,13 @@ def _leaves(
     full = (1 << n) - 1
     h = sys.h_next + (full,)
     v = sys.v_next + (full,)
-    live_h = _relation(n, sys.h_mask).live
-    live_v = _relation(n, sys.v_mask).live
+    live_h = 0
+    live_v = 0
+    for c in range(n):
+        if h[c]:
+            live_h |= 1 << c
+        if v[c]:
+            live_v |= 1 << c
     left, below = _slots(target)
     seq = [n] * (target + 1)
     seq[1:k + 1] = prefix
@@ -490,19 +488,16 @@ def _shadows(sys: ColoringSystem) -> Iterator[bool]:
       t = x - y: c -> e iff (c, e) in H and (e, c) in V, since the tile
                  above (x, y) carries f(t - 1).  t runs over all of Z here,
                  so the origin needs an infinite walk backward as well.
-    Each answer is a test on an n-node graph, with no search.  The graphs
-    are read off the masks' shared tables (systems._relation): the loops
-    pick the nodes of t = x and t = y, and the x - y graph and its
-    transpose are the successor tables ANDed with the predecessor ones.
+    Each answer is a test on an n-node graph, with no search.
     """
     n = sys.n
     o = sys.origin
-    h, h_prev, h_loops, _ = _relation(n, sys.h_mask)
-    v, v_prev, v_loops, _ = _relation(n, sys.v_mask)
-    if not (h[o] and v[o]):
+    if not (sys.h_next[o] and sys.v_next[o]):
         # every kind steps from the origin by H, and to or from it by V
         yield from (False, False, False, False)
         return
+    h, h_prev, h_loops = _relation(n, sys.h_mask)
+    v, v_prev, v_loops = _relation(n, sys.v_mask)
     full = (1 << n) - 1
     yield bool(_walkers(h, v_loops) >> o & 1)
     yield bool(_walkers(v, h_loops) >> o & 1)
@@ -522,9 +517,8 @@ def classify(sys: ColoringSystem, budget: SearchBudget) -> Verdict:
     """Full verdict for one system, in four steps.
 
     1. An origin color with an H and a V self-loop colors the quadrant
-       constantly.  One bit test of the two masks finds it, and the
-       verdict is the constant 1x1 torus, one shared object per origin
-       color, returned without search.
+       constantly, and the 1x1 torus (one object per origin color) is
+       returned without search.
     2. Without a node cap, a 1-D shadow (_shadows) proves that the
        quadrant has a coloring.  Its first depth_cap tiles are then an
        accepted sequence, so exhaustion would return ReachedCap(depth_cap)

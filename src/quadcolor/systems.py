@@ -69,28 +69,33 @@ class _Relation(NamedTuple):
     succ: tuple  # succ[c]: the bitmask of the d with (c, d) in the relation
     pred: tuple  # pred[d]: the bitmask of the c with (c, d) in it
     loops: int   # the bitmask of the c with (c, c) in it
-    live: int    # the bitmask of the c with some successor
+
+
+@lru_cache(maxsize=4096)
+def _successors(n: int, mask: int) -> tuple:
+    """succ[c], the bitmask of the d with (c, d) in an n*n-bit relation
+    mask, cached so that every system with the mask shares one tuple."""
+    row = (1 << n) - 1
+    return tuple([mask >> i & row for i in range(0, n * n, n)])
 
 
 @lru_cache(maxsize=4096)
 def _relation(n: int, mask: int) -> _Relation:
-    """The tables of an n*n-bit relation mask, derived once per (n, mask)
-    and shared: every system with this H or V mask, and every decider that
-    reads them, gets the same objects.  The cache holds all 512 masks at
-    n = 3, so a census derives each of them once per process."""
-    row = (1 << n) - 1
-    succ = tuple([mask >> i & row for i in range(0, n * n, n)])
+    """The tables of an n*n-bit relation mask that the shadow test reads,
+    derived once per (n, mask) and shared.  A system's construction
+    derives its successors alone, so a mask that misses these caches, as
+    most do at n >= 4, costs it no transpose.  Both caches hold all 512
+    masks at n = 3, so a census derives each table once per process."""
+    succ = _successors(n, mask)
     pred = [0] * n
-    loops = live = 0
+    loops = 0
     for c, later in enumerate(succ):
-        if later:
-            live |= 1 << c
-            loops |= later & 1 << c
+        loops |= later & 1 << c
         while later:
             low = later & -later
             later ^= low
             pred[low.bit_length() - 1] |= 1 << c
-    return _Relation(succ, tuple(pred), loops, live)
+    return _Relation(succ, tuple(pred), loops)
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,7 @@ class ColoringSystem:
     h_mask: int
     v_mask: int
     # the searches' successor tables, shared by every system with the same
-    # mask (_relation) and ignored by ==, hash and repr: h_next[c] is the
+    # mask (_successors) and ignored by ==, hash and repr: h_next[c] is the
     # bitmask of the d with (c, d) in H; v_next for V
     h_next: tuple = field(init=False, repr=False, compare=False)
     v_next: tuple = field(init=False, repr=False, compare=False)
@@ -119,8 +124,8 @@ class ColoringSystem:
                     problems.append(f"{label} mask {mask!r} has bits outside the {n}x{n} pair grid")
             if problems:
                 raise InputError("; ".join(problems))
-        object.__setattr__(self, "h_next", _relation(n, h).succ)
-        object.__setattr__(self, "v_next", _relation(n, v).succ)
+        object.__setattr__(self, "h_next", _successors(n, h))
+        object.__setattr__(self, "v_next", _successors(n, v))
 
     @classmethod
     def from_pairs(

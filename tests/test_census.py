@@ -382,12 +382,16 @@ def test_a_census_derives_each_mask_table_once(monkeypatch):
         return qc.classify(sys, budget)
 
     monkeypatch.setattr(census, "classify", counting)
+    systems._successors.cache_clear()
     systems._relation.cache_clear()
     qc.run_census(3, qc.SearchBudget(), stop_after=8192)
-    info = systems._relation.cache_info()
-    assert 0 < info.misses <= 512, info
-    # every classified system reads its H and V tables at least once
-    assert info.hits + info.misses >= 2 * len(classified) > 1000, (info, len(classified))
+    built = systems._successors.cache_info()
+    derived = systems._relation.cache_info()
+    assert 0 < built.misses <= 512 and 0 < derived.misses <= 512, (built, derived)
+    # every classified system is built from its H and V successor tables,
+    # and the shadow test reads the other tables
+    assert built.hits + built.misses >= 2 * len(classified) > 1000, (built, len(classified))
+    assert derived.hits > 1000, derived
 
 
 def test_capped_chunks_match_direct_records(tmp_path, monkeypatch):

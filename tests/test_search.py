@@ -442,6 +442,15 @@ def test_shadows_match_the_brute_oracle():
         assert list(search._shadows(s)) == kinds, s
         found = [f + k for f, k in zip(found, kinds)]
     assert min(found) > 0, found  # every kind is exercised
+    # an origin with no H or no V successor is settled before any table is
+    # derived: at n >= 4 most masks miss the cache, and a census run of V
+    # masks under such an H would pay a transpose per class
+    qc.systems._relation.cache_clear()
+    for _ in range(50):
+        s = random_system(rng, 4)
+        s = qc.ColoringSystem(4, s.origin, s.h_mask & ~(15 << 4 * s.origin), s.v_mask)
+        assert list(search._shadows(s)) == brute_shadows(s) == [False] * 4, s
+    assert qc.systems._relation.cache_info().currsize == 0
 
 
 # one system per shadow kind that no other kind settles
