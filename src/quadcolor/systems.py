@@ -19,7 +19,7 @@ from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Union
 
 from .diagonal import _geometry, triangular
 
@@ -63,14 +63,6 @@ def _origin_problems(n: int, origin: int) -> list[str]:
     return []
 
 
-class _Relation(NamedTuple):
-    """One relation mask's tables, over colors 0..n-1."""
-
-    succ: tuple  # succ[c]: the bitmask of the d with (c, d) in the relation
-    pred: tuple  # pred[d]: the bitmask of the c with (c, d) in it
-    loops: int   # the bitmask of the c with (c, c) in it
-
-
 @lru_cache(maxsize=4096)
 def _successors(n: int, mask: int) -> tuple:
     """succ[c], the bitmask of the d with (c, d) in an n*n-bit relation
@@ -80,12 +72,14 @@ def _successors(n: int, mask: int) -> tuple:
 
 
 @lru_cache(maxsize=4096)
-def _relation(n: int, mask: int) -> _Relation:
-    """The tables of an n*n-bit relation mask that the shadow test reads,
-    derived once per (n, mask) and shared.  A system's construction
-    derives its successors alone, so a mask that misses these caches, as
-    most do at n >= 4, costs it no transpose.  Both caches hold all 512
-    masks at n = 3, so a census derives each table once per process."""
+def _relation(n: int, mask: int) -> tuple[tuple, tuple, int]:
+    """(succ, pred, loops) of an n*n-bit relation mask, the tables the
+    shadow test reads: pred[d] is the bitmask of the c with (c, d) in the
+    relation, and loops that of the c with (c, c) in it.  They are derived
+    once per (n, mask) and shared.  A system's construction derives its
+    successors alone, so a mask that misses these caches, as most do at
+    n >= 4, costs it no transpose.  Both caches hold all 512 masks at
+    n = 3, so a census derives each table once per process."""
     succ = _successors(n, mask)
     pred = [0] * n
     loops = 0
@@ -95,7 +89,7 @@ def _relation(n: int, mask: int) -> _Relation:
             low = later & -later
             later ^= low
             pred[low.bit_length() - 1] |= 1 << c
-    return _Relation(succ, tuple(pred), loops)
+    return succ, tuple(pred), loops
 
 
 @dataclass(frozen=True)

@@ -100,17 +100,17 @@ def test_relation_tables_match_pairs():
     masks += [(5, rng.getrandbits(25)) for _ in range(200)]
     for n, mask in masks:
         pairs = {(c, d) for c, d in product(range(n), repeat=2) if mask >> (c * n + d) & 1}
-        table = systems._relation(n, mask)
-        assert table.succ == tuple(sum(1 << d for d in range(n) if (c, d) in pairs) for c in range(n))
-        assert table.pred == tuple(sum(1 << c for c in range(n) if (c, d) in pairs) for d in range(n))
-        assert table.loops == sum(1 << c for c in range(n) if (c, c) in pairs)
+        succ, pred, loops = systems._relation(n, mask)
+        assert succ == tuple(sum(1 << d for d in range(n) if (c, d) in pairs) for c in range(n))
+        assert pred == tuple(sum(1 << c for c in range(n) if (c, d) in pairs) for d in range(n))
+        assert loops == sum(1 << c for c in range(n) if (c, c) in pairs)
     # systems with one mask share its table: one h_next object, whatever
     # the origin or V
     s = qc.ColoringSystem(3, 0, 0x11C, 0x152)
     t = qc.ColoringSystem(3, 2, 0x11C, 0x0F0)
     u = qc.ColoringSystem(3, 1, 0x152, 0x11C)
     assert s.h_next is t.h_next is u.v_next is systems._successors(3, 0x11C)
-    assert s.h_next is systems._relation(3, 0x11C).succ
+    assert s.h_next is systems._relation(3, 0x11C)[0]
     assert s.v_next is u.h_next
     # building a system derives its successor tables alone, so a mask that
     # misses the caches (most do at n >= 4) costs no transpose
