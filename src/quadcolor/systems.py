@@ -100,9 +100,8 @@ class ColoringSystem:
     origin: int
     h_mask: int
     v_mask: int
-    # the searches' successor tables, shared by every system with the same
-    # mask (_successors) and ignored by ==, hash and repr: h_next[c] is the
-    # bitmask of the d with (c, d) in H; v_next for V
+    # the searches' successor tables (_successors), ignored by ==, hash and
+    # repr: h_next[c] is the bitmask of the d with (c, d) in H; v_next for V
     h_next: tuple = field(init=False, repr=False, compare=False)
     v_next: tuple = field(init=False, repr=False, compare=False)
 
