@@ -56,7 +56,6 @@ from .systems import (
     Unknown,
     Verdict,
     canonical_form,
-    canonical_id,
     canonicalize,
     full_triangle_depth,
     is_isomorphic,
@@ -88,7 +87,6 @@ __all__ = [
     "Violation",
     "build_chain",
     "canonical_form",
-    "canonical_id",
     "canonicalize",
     "census_records",
     "check_sequence",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import repeat
 from typing import Iterator, Optional
@@ -111,35 +111,17 @@ def census_records(
     start: int = 0,
     stop: Optional[int] = None,
 ) -> Iterator[CensusRecord]:
-    """Classify systems start..stop-1 in enumeration order.
+    """The records of systems start..stop-1 in enumeration order, read back
+    from the lines run_census writes for them.
 
-    The verdict is computed for the canonical form and shared across the
-    isomorphism class; witnesses are relabeled back through the
-    canonicalizing bijection so they certify the actual system in the
-    record.  Canonicalization runs once per run of equal (origin, H).
     The range is checked here, when the call is made, not at the first
-    record.
+    record.  Each call classifies with a class table of its own.
     """
     stop = _record_range(n, start, stop)
     return (
-        CensusRecord(
-            system_index=index,
-            system=system_at(n, index),
-            verdict=_relabeled(verdict, perm),
-            canonical_id=cid,
-        )
+        parse_record_line(n, _line(index, cid, verdict, perm))
         for index, cid, perm, verdict in _classified(n, budget, start, stop, {})
     )
-
-
-def _relabeled(verdict: Verdict, perm: tuple) -> Verdict:
-    """A class verdict as the system that perm took to the class's
-    canonical form sees it: a witness's cells go back through perm's inverse."""
-    if not isinstance(verdict, HasColoring):
-        return verdict
-    w = verdict.witness
-    back = _back(perm)[0]
-    return HasColoring(replace(w, rows=tuple(tuple(map(back.__getitem__, row)) for row in w.rows)))
 
 
 def _record_range(n: int, start: int, stop: Optional[int]) -> int:
@@ -153,16 +135,6 @@ def _record_range(n: int, start: int, stop: Optional[int]) -> int:
     if not 0 <= start <= stop <= total:
         raise InputError(f"record range [{start}, {stop}) outside [0, {total}]")
     return stop
-
-
-@lru_cache(maxsize=128)
-def _back(perm: tuple) -> tuple[tuple, tuple]:
-    """perm's inverse as a color map, and the same map into the decimal
-    strings a record line writes: a canonical color's preimage and its digits."""
-    back = [0] * len(perm)
-    for c, pc in enumerate(perm):
-        back[pc] = c
-    return tuple(back), tuple(map(str, back))
 
 
 def _columns(perm: tuple) -> tuple[list, tuple]:
@@ -216,7 +188,8 @@ def _classified(
     a slice in one pass (_renamed) through its _columns table, built once
     per run, and a system's key is the least (perm(V), perm) over the ties,
     as in canonicalize: equal images keep the first bijection.  The id is
-    the run's prefix and the canonical V in hex.
+    the canonical form written n.0.H.V with hex masks: the run's prefix
+    and the canonical V.
     """
     bits = n * n
     run = 1 << bits
@@ -260,7 +233,7 @@ def _line(index: int, cid: str, verdict: Verdict, perm: tuple) -> str:
     elif isinstance(verdict, HasColoring):
         kind = "has_coloring"
         w = verdict.witness
-        digits = _back(perm)[1]
+        digits = _back(perm)
         cells = "],[".join([",".join(map(digits.__getitem__, row)) for row in w.rows])
         detail = f'{{"p":{w.p},"q":{w.q},"cells":[[{cells}]]}}'
     else:
@@ -273,6 +246,16 @@ def _line(index: int, cid: str, verdict: Verdict, perm: tuple) -> str:
         f'{{"system_index":{index},"canonical_id":"{cid}",'
         f'"verdict":"{kind}","detail":{detail}}}'
     )
+
+
+@lru_cache(maxsize=128)
+def _back(perm: tuple) -> tuple:
+    """The digits a record line writes for each canonical color: those of
+    its preimage under perm."""
+    back = [""] * len(perm)
+    for c, pc in enumerate(perm):
+        back[pc] = str(c)
+    return tuple(back)
 
 
 def _verdict_from_fields(kind, fields, what: str) -> Verdict:
@@ -318,7 +301,6 @@ def parse_record_line(n: int, line: str) -> CensusRecord:
 class _Totals:
     def __init__(self, n: int):
         self.n = n
-        self.count = 0
         self.bounded = 0
         self.has_coloring = 0
         self.unknown = 0
@@ -326,7 +308,6 @@ class _Totals:
         self.champion: Optional[int] = None
 
     def add(self, index: int, verdict: Verdict) -> None:
-        self.count += 1
         if isinstance(verdict, Bounded):
             self.bounded += 1
             if verdict.max_len > self.best_len:
@@ -340,7 +321,6 @@ class _Totals:
     def merge(self, later: "_Totals") -> None:
         """Fold in the totals of the records that follow these ones.  On a
         tied max_len the earlier champion stays, as in add."""
-        self.count += later.count
         self.bounded += later.bounded
         self.has_coloring += later.has_coloring
         self.unknown += later.unknown
@@ -351,7 +331,8 @@ class _Totals:
     def summary(self) -> CensusSummary:
         lower = 1 + self.best_len if self.bounded else 1
         total = total_systems(self.n)
-        exact = lower if (self.unknown == 0 and self.count == total) else None
+        count = self.bounded + self.has_coloring + self.unknown
+        exact = lower if (self.unknown == 0 and count == total) else None
         return CensusSummary(
             n=self.n,
             total_systems=total,
@@ -511,8 +492,8 @@ def run_census(
         paused = stop_after is not None and start + stop_after < total
         stop = start + stop_after if paused else total
         chunk = max(1, min(_CHUNK_CAP, -(-(total - start) // (jobs * 8))))
-        tasks = [(n, budget, a, min(a + chunk, stop)) for a in range(start, stop, chunk)]
-        if jobs > 1 and tasks:
+        tasks = ((n, budget, a, min(a + chunk, stop)) for a in range(start, stop, chunk))
+        if jobs > 1 and start < stop:
             pool = multiprocessing.Pool(processes=jobs)
             chunks = pool.imap(_chunk, tasks)
         else:

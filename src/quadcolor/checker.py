@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .diagonal import _tile_by_isqrt
-from .systems import ColoringSystem, InputError, PeriodicWitness, TriangleColoring, _is_int
+from .systems import ColoringSystem, InputError, PeriodicWitness, TriangleColoring, _in_order, _is_int
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,16 @@ def _check_elements(sys: ColoringSystem, elems: Sequence[int]) -> None:
 def check_sequence(sys: ColoringSystem, seq: Sequence[int]) -> Optional[Violation]:
     """None when the sequence is accepted, else the first violation.
 
-    Raises InputError for malformed input (empty sequence, colors out of
-    range) -- distinct from a mathematical rejection.
+    Raises InputError for malformed input (a set, mapping or other
+    unordered value, an empty sequence, colors out of range) -- distinct
+    from a mathematical rejection.
     """
+    # a tuple or list is taken as it is, as TriangleColoring takes a tuple
+    if type(seq) not in (tuple, list):
+        try:
+            seq = _in_order(seq)
+        except TypeError:
+            raise InputError(f"coloring sequence {seq!r} is not an ordered iterable") from None
     if len(seq) == 0:
         raise InputError("the empty sequence is not a candidate coloring")
     _check_elements(sys, seq)

@@ -226,17 +226,6 @@ def canonical_form(sys: ColoringSystem) -> ColoringSystem:
     return canonicalize(sys)[0]
 
 
-def canonical_id(sys: ColoringSystem) -> str:
-    """Compact stable encoding of the canonical form, used as a class key."""
-    canon = canonical_form(sys)
-    return _class_id(canon.n, canon.origin, canon.h_mask, canon.v_mask)
-
-
-def _class_id(n: int, origin: int, h_mask: int, v_mask: int) -> str:
-    """canonical_id of the system with these fields, already in canonical form."""
-    return f"{n}.{origin}.{h_mask:x}.{v_mask:x}"
-
-
 def is_isomorphic(s1: ColoringSystem, s2: ColoringSystem) -> bool:
     """Canonical-form equality; mismatched color counts compare unequal.
 

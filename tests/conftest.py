@@ -193,6 +193,13 @@ def brute_canonicalize(sys):
     return min(renamings, key=lambda pair: (pair[0].h_mask, pair[0].v_mask))
 
 
+def class_id(sys) -> str:
+    """The id a census record gives sys's class: its canonical form written
+    n.origin.H.V with the masks in hex."""
+    canon = qc.canonical_form(sys)
+    return f"{canon.n}.{canon.origin}.{canon.h_mask:x}.{canon.v_mask:x}"
+
+
 def random_system(rng, n) -> qc.ColoringSystem:
     return qc.ColoringSystem(
         n=n,

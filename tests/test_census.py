@@ -9,6 +9,7 @@ import json
 import os
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,7 @@ from conftest import (
     brute_max_length,
     brute_rename,
     brute_torus_colorings,
+    class_id,
     random_system,
 )
 
@@ -127,7 +129,7 @@ def test_record_line_roundtrip():
         qc.HasColoring(qc.PeriodicWitness(p=1, q=1, rows=((0,),))),
         qc.Unknown(depth_reached=64, period_cap_reached=4),
     ):
-        rec = qc.CensusRecord(0, system, verdict, qc.canonical_id(system))
+        rec = qc.CensusRecord(0, system, verdict, class_id(system))
         assert qc.parse_record_line(2, qc.record_line(rec)) == rec
 
 
@@ -286,7 +288,7 @@ def test_every_bounded_n3_class_matches_the_length_profile():
 
 def test_canonical_id_matches_canonical_form():
     for rec in census_records(2, CAPS, start=100, stop=140):
-        assert rec.canonical_id == qc.canonical_id(qc.canonical_form(rec.system))
+        assert rec.canonical_id == class_id(qc.canonical_form(rec.system))
 
 
 def _totals(n, records):
@@ -414,6 +416,27 @@ def test_capped_chunks_match_direct_records(tmp_path, monkeypatch):
     assert spans == [(0, cap), (cap, 2 * cap), (2 * cap, stop)]
 
 
+def test_run_census_streams_its_chunk_tasks(monkeypatch):
+    # 100,000 chunks of an n=4 census: the first one starts before the
+    # rest of the task list is built, so little is allocated before it
+    class FirstChunk(Exception):
+        pass
+
+    def first(task):
+        raise FirstChunk(task)
+
+    monkeypatch.setattr(census, "_chunk", first)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstChunk) as raised:
+            qc.run_census(4, qc.SearchBudget(), stop_after=census._CHUNK_CAP * 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert raised.value.args[0][2:] == (0, census._CHUNK_CAP)
+    assert peak < 2 << 20, peak
+
+
 def _tie_counts(sys):
     """How many origin-fixing bijections reach the least renamed H, and how
     many reach the canonical form itself."""
@@ -452,7 +475,7 @@ def test_run_canonicalization_matches_canonicalize(monkeypatch):
         for index, cid, perm, _ in got:
             sys = qc.system_at(n, index)
             canon, first = brute_canonicalize(sys)
-            assert (cid, perm) == (qc.canonical_id(canon), first), index
+            assert (cid, perm) == (class_id(canon), first), index
             h_ties, ties = _tie_counts(sys)
             h_tied += h_ties > 1
             v_broken += h_ties > 1 and ties == 1
@@ -523,7 +546,7 @@ def test_census_records_stream_from_long_runs(monkeypatch):
         assert time.perf_counter() - t0 < 10.0, n
         for index, rec in enumerate(got, start):
             assert rec.system_index == index and rec.system == census.system_at(n, index)
-            assert rec.canonical_id == qc.canonical_id(rec.system)
+            assert rec.canonical_id == class_id(rec.system)
 
 
 def test_census_builds_each_tie_table_once_per_run(monkeypatch):
@@ -544,7 +567,7 @@ def test_census_builds_each_tie_table_once_per_run(monkeypatch):
     assert 100 > census._RENAMED_CAP // 5_040  # the records do span slices
     for index, rec in enumerate(got, start):
         assert rec.system_index == index and rec.system == census.system_at(8, index)
-        assert rec.canonical_id == qc.canonical_id(rec.system)
+        assert rec.canonical_id == class_id(rec.system)
 
 
 def test_census_loop_renames_per_run_not_per_record(monkeypatch):
@@ -612,7 +635,7 @@ def _direct_lines(n, budget, start, stop):
             inverse_needed += rows != tuple(tuple(perm[c] for c in row) for row in w.rows)
             verdict = qc.HasColoring(qc.PeriodicWitness(p=w.p, q=w.q, rows=rows))
             assert qc.check_witness(sys, verdict.witness) is None
-        rec = census.CensusRecord(index, sys, verdict, qc.canonical_id(canon))
+        rec = census.CensusRecord(index, sys, verdict, class_id(canon))
         lines.append(_compact_json(rec) + "\n")
     return lines, inverse_needed
 

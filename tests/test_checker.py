@@ -58,6 +58,22 @@ def test_out_of_range_color_is_input_error_not_rejection():
         assert str(by_triangle.value) == str(by_sequence.value)
 
 
+def test_unordered_sequence_is_input_error_not_rejection():
+    # a mapping's keys are in range, but its values are what a rejection
+    # would judge; a set has no order; a non-iterable is no sequence
+    for bad in ({0: 0, 1: 7}, {0: 0, 1: 1}, {0, 1}, frozenset({0}), 5, None):
+        with pytest.raises(qc.InputError, match="not an ordered iterable"):
+            qc.check_sequence(CHECKER_SYSTEM, bad)
+    # any other ordered iterable is judged as the tuple of its items
+    for seq in ((0, 0, 1), (0, 1, 0), (1,)):
+        expected = qc.check_sequence(CHECKER_SYSTEM, seq)
+        for given_as in (list(seq), iter(seq), (c for c in seq)):
+            assert qc.check_sequence(CHECKER_SYSTEM, given_as) == expected
+    with pytest.raises(qc.InputError, match="out of range"):
+        qc.check_sequence(CHECKER_SYSTEM, iter((0, 2)))
+    assert qc.check_sequence(CHECKER_SYSTEM, range(1)) is None
+
+
 def test_example_triangle_accepted(example_system, example_triangle, example_sequence):
     assert qc.check_triangle(example_system, example_triangle) is None
     assert qc.check_sequence(example_system, example_sequence) is None

@@ -13,7 +13,7 @@ from quadcolor.fileio import (
     parse_triangle,
     parse_witness,
 )
-from conftest import system_strategy, write_json
+from conftest import class_id, system_strategy, write_json
 
 
 def test_system_roundtrip_is_byte_stable(tmp_path, example_system):
@@ -129,7 +129,7 @@ def test_verdict_roundtrips():
         detail = fields["witness"] if isinstance(v, qc.HasColoring) else fields
         line = json.dumps({
             "system_index": 0,
-            "canonical_id": qc.canonical_id(system),
+            "canonical_id": class_id(system),
             "verdict": obj["kind"],
             "detail": detail,
         })

@@ -18,6 +18,7 @@ from conftest import (
     brute_sequences,
     brute_shadows,
     brute_torus_colorings,
+    class_id,
     random_system,
     system_strategy,
 )
@@ -227,7 +228,7 @@ def test_the_n4_champion_is_certified_twice():
     # stops at 39 tiles, the frontier sweep counts no sequence longer, and
     # the H/V swap stops at 41 tiles, on the same diagonal
     s = qc.ColoringSystem(4, 0, 0x1797, 0x7d2a)
-    assert qc.canonical_id(s) == "4.0.1797.7d2a"
+    assert class_id(s) == "4.0.1797.7d2a"
     assert qc.max_accept_length(s, qc.SearchBudget(depth_cap=64)) == qc.ExactMax(39)
     counts = qc.length_profile(s, qc.SearchBudget(depth_cap=45)).counts
     assert max(k + 1 for k, count in enumerate(counts) if count) == 39
@@ -475,7 +476,7 @@ def test_each_shadow_kind_settles_its_own_system(kind):
 
 def test_the_shear_class_stays_unknown():
     s = SHADOW_SYSTEMS["x-y"][0]
-    assert qc.canonical_id(s) == "3.0.11c.152"
+    assert class_id(s) == "3.0.11c.152"
     assert qc.classify(s, qc.SearchBudget()) == qc.Unknown(depth_reached=64, period_cap_reached=4)
 
 
