@@ -61,7 +61,6 @@ def check_sequence(sys: ColoringSystem, seq: Sequence[int]) -> Optional[Violatio
     unordered value, an empty sequence, colors out of range) -- distinct
     from a mathematical rejection.
     """
-    # a tuple or list is taken as it is, as TriangleColoring takes a tuple
     if type(seq) not in (tuple, list):
         try:
             seq = _in_order(seq)
