@@ -18,6 +18,13 @@ gain.  Each run takes about half a minute, so five seeds over three
 workloads and two checkouts take about 15 minutes.  --workloads records
 only the named workloads (by default all of them; none when given no names).
 
+--trace also runs ``perfbench/run.py --trace 1`` once per checkout and
+workload, at the first seed and back to back between the checkouts, and
+stores its per-layer metrics (each the median over the run's traced
+repetitions) under ``trace`` beside the workload's end-to-end runs, so
+the file shows which layer a change moved.  With two checkouts it prints
+each layer's value in both.  A traced run takes about a minute.
+
 --full-census K also runs the whole n=3 census (``quadcolor census 3``,
 786,432 records) K times per checkout at jobs 1 and at jobs 2, alternated
 between the checkouts in the same way, and checks each output file's
@@ -26,12 +33,13 @@ records under ``full_n3_sha256``.  Its runs record wall time, the CPU time
 of the census process and its workers, and the printed summary, under the
 workload names ``full-n3 jobs=1`` and ``full-n3 jobs=2``, and with two
 checkouts the file compares them as it does the workloads.  A run takes
-10-15 s on a 2-core host and its 84 MB output file is deleted after hashing.
+RUN_TIME on a 2-core host and its 84 MB output file is deleted after hashing.
 
 Usage:
     python3 scripts/bench_record.py --out BENCH.json
     python3 scripts/bench_record.py PARENT_CHECKOUT . --out BENCH.json --seeds 11 12 13 14 15
     python3 scripts/bench_record.py PARENT_CHECKOUT . --out BENCH.json --workloads census-n3
+    python3 scripts/bench_record.py PARENT_CHECKOUT . --out BENCH.json --workloads census-n3 --trace
     python3 scripts/bench_record.py PARENT_CHECKOUT . --out BENCH.json --workloads --full-census 5
 """
 
@@ -73,10 +81,10 @@ def _pinned_hashes(checkout: Path) -> dict:
     return dict(PIN.findall((checkout / "perfbench" / "workloads.py").read_text()))
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def _run(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
     cmd = [
         sys.executable, "perfbench/run.py",
-        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     try:
         proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
@@ -94,7 +102,7 @@ def _run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
         "failed": result["failed"],
         # a faster run fits more repetitions into its run length, and the
         # audit's peak RSS grows with them, not with the code
-        "reps": len(info["rep_walls"]),
+        "reps": info["traced_reps"] if trace else len(info["rep_walls"]),
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
 
@@ -144,8 +152,10 @@ def _alternated(checkouts: list, keys: list, pairs: int, measure, label) -> dict
                 runs[c, key].append(run)
                 if "error" in run:
                     outcome = run["error"]
-                else:
+                elif "wall_s" in run["metrics"]:
                     outcome = f"wall_s {run['metrics']['wall_s']:.4g}, correct {run['correct']}"
+                else:
+                    outcome = f"traced, correct {run['correct']}"
                 print(f"{label(key, i)} checkout {c}: {outcome}", flush=True)
     return runs
 
@@ -209,6 +219,8 @@ def main() -> int:
                     help=f"workloads to record, from {', '.join(names)} (default: all)")
     ap.add_argument("--full-census", type=int, default=0, metavar="K",
                     help="also run the whole n=3 census K times per checkout at jobs 1 and 2")
+    ap.add_argument("--trace", action="store_true",
+                    help="also record each workload's per-layer metrics from one traced run per checkout")
     args = ap.parse_args()
     workloads = [w for w in names if w in args.workloads]
     seconds = spec["run_seconds"]
@@ -218,6 +230,11 @@ def main() -> int:
         checkouts, workloads, len(args.seeds),
         lambda checkout, w, i: _run(checkout, w, args.seeds[i], seconds),
         lambda w, i: f"{w} seed {args.seeds[i]}",
+    )
+    traced = _alternated(
+        checkouts, workloads if args.trace else [], 1,
+        lambda checkout, w, i: _run(checkout, w, args.seeds[0], seconds, trace=1),
+        lambda w, i: f"{w} seed {args.seeds[0]} traced",
     )
     full_jobs = {f"full-n3 jobs={jobs}": jobs for jobs in FULL_JOBS} if args.full_census else {}
     full = _alternated(
@@ -230,7 +247,10 @@ def main() -> int:
 
     record = {
         "recorded_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "command": "perfbench/run.py --trace 0; full-n3: python -m quadcolor.cli census 3 --jobs J",
+        "command": (
+            "perfbench/run.py --trace 0" + ("; trace: perfbench/run.py --trace 1" if args.trace else "")
+            + "; full-n3: python -m quadcolor.cli census 3 --jobs J"
+        ),
         "seconds": seconds,
         "seeds": args.seeds,
         "environment": {
@@ -252,6 +272,9 @@ def main() -> int:
             for c, checkout in enumerate(checkouts)
         ],
     }
+    for (c, w), r in traced.items():
+        # one run: its metrics are the medians of its traced repetitions
+        record["checkouts"][c]["workloads"][w]["trace"] = r[0]
     if full_jobs:
         # this script's own pin, checked against every checkout's output
         record["full_n3_sha256"] = FULL_N3_SHA256
@@ -264,8 +287,15 @@ def main() -> int:
                     f"{w} {name}: {c['parent_median']:.4g} ({q1:.4g}-{q3:.4g}) -> "
                     f"{c['change_median']:.4g}, won {c['won']} lost {c['lost']} tied {c['tied']}"
                 )
+        for w in workloads if args.trace else []:
+            layers = [traced[c, w][0].get("metrics") for c in range(2)]
+            for m in spec["per_layer"] if all(layers) else []:
+                name = m["name"]
+                print(f"{w} traced {name}: {layers[0][name]:.4g} -> {layers[1][name]:.4g} {m['unit']}")
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    failed = sum(1 for r in (*runs.values(), *full.values()) for run in r if not run.get("correct"))
+    failed = sum(
+        1 for r in (*runs.values(), *traced.values(), *full.values()) for run in r if not run.get("correct")
+    )
     print(f"wrote {args.out}; {failed} run(s) failed or were incorrect")
     return 1 if failed else 0
 

@@ -15,8 +15,11 @@ so far, which grows as the walk finds longer prefixes.  Each descent
 computes the next tile's candidates as one mask expression: the walk
 reads both neighbors from slot tables (_slots), with a wall color in
 slot 0 whose successors are every color standing in for the axes, and
-ANDs in a per-index mask holding the origin bit and the prune.  An inner
-loop places the candidates one at a time, backtracking when none is left.
+ANDs in a per-index mask holding the origin bit and the prune.  Its
+successor tables with the wall appended, and the masks of the colors
+that have a successor, come from a per-mask cache (_walled), so a walk's
+set-up derives no table.  An inner loop places the candidates one at a
+time, backtracking when none is left.
 The walk holds no state between calls.  Given a node cap, it returns None
 for its leaves when the cap runs out, and the caller reports
 Indeterminate.  The prune drops colors whose H- or V-successor set is
@@ -30,9 +33,11 @@ merging prefixes that end in the same word and counting them together.
 classify decides a system in four steps, cheapest first: an origin color
 with both self-loops, a 1-D shadow (a coloring constant along x, y, x + y
 or x - y, read off four n-node graphs with no search), exhaustion of the
-sequence tree, and a torus search over row graphs.  A shadow colors the
-quadrant, so where no node cap is set it stands in for the dive to the
-depth cap that exhaustion would make.  The torus search reads its period
+sequence tree, and a torus search over row graphs.  Each shadow graph is
+a relation mask and a node set, and its infinite-walk nodes are cached
+by those (_walkers), so the shadow test is a few table reads.  A shadow
+colors the quadrant, so where no node cap is set it stands in for the
+dive to the depth cap that exhaustion would make.  The torus search reads its period
 order from a cache (_periods) and skips each width with no row in the
 origin color.  Its row graphs keep their H half, and a memo of the unions
 their V half reads, cached by H's table (_wrap_rows).
@@ -56,6 +61,7 @@ from .systems import (
     Verdict,
     _is_int,
     _relation,
+    _successors,
 )
 
 
@@ -132,6 +138,21 @@ def _slots(target: int) -> tuple[list, list]:
     return left, below
 
 
+@lru_cache(maxsize=4096)
+def _walled(n: int, mask: int) -> tuple[tuple, int]:
+    """(succ, live), the walk's tables of an n*n-bit relation mask: succ is
+    its successor masks with the wall color n's appended, which is every
+    color, and live the bitmask of the colors with a successor.  Shared by
+    every walk on a system with the mask, so a walk's set-up derives
+    nothing; all 512 masks at n = 3 fit."""
+    succ = _successors(n, mask)
+    live = 0
+    for c, later in enumerate(succ):
+        if later:
+            live |= 1 << c
+    return succ + ((1 << n) - 1,), live
+
+
 def _leaves(
     sys: ColoringSystem,
     target: int,
@@ -170,15 +191,8 @@ def _leaves(
         return [tuple(prefix)], k
     n = sys.n
     full = (1 << n) - 1
-    h = sys.h_next + (full,)
-    v = sys.v_next + (full,)
-    live_h = 0
-    live_v = 0
-    for c in range(n):
-        if h[c]:
-            live_h |= 1 << c
-        if v[c]:
-            live_v |= 1 << c
+    h, live_h = _walled(n, sys.h_mask)
+    v, live_v = _walled(n, sys.v_mask)
     left, below = _slots(target)
     seq = [n] * (target + 1)
     seq[1:k + 1] = prefix
@@ -456,19 +470,23 @@ def find_periodic_witness(
     return None
 
 
-def _walkers(succ: Sequence[int], nodes: int) -> int:
+@lru_cache(maxsize=4096)
+def _walkers(n: int, mask: int, nodes: int) -> int:
     """The largest subset of ``nodes`` in which every member has a
-    successor inside the subset, as a bitmask: the nodes that start an
-    infinite walk within ``nodes``.  succ[c] is node c's successor mask.
+    successor inside the subset, in the graph of an n*n-bit relation mask,
+    as a bitmask: the nodes that start an infinite walk within ``nodes``.
     Found by iterated sink removal: drop every node with no successor left
-    in the subset, until a round drops none."""
+    in the subset, until a round drops none.  Cached, since it depends on
+    the mask and the node set alone: every (mask, nodes) key at n = 3
+    fits, so a census's shadow tests read their answers from here."""
     while True:
         kept = 0
         rest = nodes
         while rest:
             low = rest & -rest
             rest ^= low
-            if succ[low.bit_length() - 1] & nodes:
+            # row c of the mask, cut to the nodes, is c's successors there
+            if mask >> (low.bit_length() - 1) * n & nodes:
                 kept |= low
         if kept == nodes:
             return nodes
@@ -488,7 +506,11 @@ def _shadows(sys: ColoringSystem) -> Iterator[bool]:
       t = x - y: c -> e iff (c, e) in H and (e, c) in V, since the tile
                  above (x, y) carries f(t - 1).  t runs over all of Z here,
                  so the origin needs an infinite walk backward as well.
-    Each answer is a test on an n-node graph, with no search.
+    The graphs are relation masks: H over V's loops, V over H's loops,
+    H & V, and H & transpose(V), whose transpose V & transpose(H) is the
+    backward walk.  They are built from the system's masks and the
+    transposes and loops of _relation, and each answer is one read of the
+    _walkers cache: no search, and no derivation on a cache hit.
     """
     n = sys.n
     o = sys.origin
@@ -496,16 +518,15 @@ def _shadows(sys: ColoringSystem) -> Iterator[bool]:
         # every kind steps from the origin by H, and to or from it by V
         yield from (False, False, False, False)
         return
-    h, h_prev, h_loops = _relation(n, sys.h_mask)
-    v, v_prev, v_loops = _relation(n, sys.v_mask)
+    h = sys.h_mask
+    v = sys.v_mask
+    h_t, h_loops = _relation(n, h)
+    v_t, v_loops = _relation(n, v)
     full = (1 << n) - 1
-    yield bool(_walkers(h, v_loops) >> o & 1)
-    yield bool(_walkers(v, h_loops) >> o & 1)
-    yield bool(_walkers([hc & vc for hc, vc in zip(h, v)], full) >> o & 1)
-    # step[c]: the e with (c, e) in H and (e, c) in V; back is its transpose
-    step = [hc & pc for hc, pc in zip(h, v_prev)]
-    back = [vc & pc for vc, pc in zip(v, h_prev)]
-    yield bool((_walkers(step, full) & _walkers(back, full)) >> o & 1)
+    yield bool(_walkers(n, h, v_loops) >> o & 1)
+    yield bool(_walkers(n, v, h_loops) >> o & 1)
+    yield bool(_walkers(n, h & v, full) >> o & 1)
+    yield bool(_walkers(n, h & v_t, full) >> o & 1 and _walkers(n, v & h_t, full) >> o & 1)
 
 
 # The verdict of an origin color with both self-loops, one object per color:
@@ -519,8 +540,9 @@ def classify(sys: ColoringSystem, budget: SearchBudget) -> Verdict:
     1. An origin color with an H and a V self-loop colors the quadrant
        constantly, and the 1x1 torus (one object per origin color) is
        returned without search.
-    2. Without a node cap, a 1-D shadow (_shadows) proves that the
-       quadrant has a coloring.  Its first depth_cap tiles are then an
+    2. Without a node cap, a 1-D shadow (_shadows, a few reads of the
+       per-mask caches _relation and _walkers) proves that the quadrant
+       has a coloring.  Its first depth_cap tiles are then an
        accepted sequence, so exhaustion would return ReachedCap(depth_cap)
        and is skipped.
     3. Otherwise the sequence tree is exhausted: ExactMax proves the system

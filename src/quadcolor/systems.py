@@ -72,24 +72,26 @@ def _successors(n: int, mask: int) -> tuple:
 
 
 @lru_cache(maxsize=4096)
-def _relation(n: int, mask: int) -> tuple[tuple, tuple, int]:
-    """(succ, pred, loops) of an n*n-bit relation mask, the tables the
-    shadow test reads: pred[d] is the bitmask of the c with (c, d) in the
-    relation, and loops that of the c with (c, c) in it.  They are derived
-    once per (n, mask) and shared.  A system's construction derives its
-    successors alone, so a mask that misses these caches, as most do at
-    n >= 4, costs it no transpose.  Both caches hold all 512 masks at
-    n = 3, so a census derives each table once per process."""
-    succ = _successors(n, mask)
-    pred = [0] * n
-    loops = 0
-    for c, later in enumerate(succ):
-        loops |= later & 1 << c
-        while later:
-            low = later & -later
-            later ^= low
-            pred[low.bit_length() - 1] |= 1 << c
-    return succ, tuple(pred), loops
+def _relation(n: int, mask: int) -> tuple[int, int]:
+    """(transpose, loops) of an n*n-bit relation mask, the facts the shadow
+    test reads besides the mask: transpose holds (d, c) for each (c, d) in
+    the relation, and loops is the bitmask of the c with (c, c) in it.
+    They are derived once per (n, mask) and shared; the shadow test builds
+    the masks of its graphs from them and reads each graph's infinite-walk
+    nodes from search._walkers, a cache of its own.  A system's
+    construction derives its successors alone, so a mask that misses these
+    caches, as most do at n >= 4, costs it no transpose.  Both caches hold
+    all 512 masks at n = 3, so a census derives each table once per
+    process."""
+    transpose = loops = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        c, d = divmod(low.bit_length() - 1, n)
+        transpose |= 1 << (d * n + c)
+        if c == d:
+            loops |= 1 << c
+    return transpose, loops
 
 
 @dataclass(frozen=True)
@@ -337,6 +339,11 @@ class PeriodicWitness:
                 and isinstance(rows, tuple) and len(rows) == q
                 and all(isinstance(row, tuple) and len(row) == p for row in rows)):
             raise InputError(f"witness is not q tuples of p cells for ints p={p!r}, q={q!r} >= 1")
+        for row in rows:
+            for c in row:
+                # an exact int takes one type test: the searches build these
+                if not (type(c) is int or _is_int(c)) or c < 0:
+                    raise InputError(f"witness cell {c!r} is not a color (an int >= 0)")
 
     def expand(self, diagonals: int) -> TriangleColoring:
         """Unroll onto the full triangle of tiles with x + y <= diagonals:

@@ -14,7 +14,7 @@ import tracemalloc
 import pytest
 
 import quadcolor as qc
-from quadcolor import census, systems
+from quadcolor import census, search, systems
 from quadcolor.census import census_records
 from conftest import (
     brute_canonicalize,
@@ -245,9 +245,24 @@ def test_dedupe_matches_direct_classification():
 
 
 def test_relabeled_witnesses_certify_their_own_system():
-    for rec in census_records(2, CAPS):
-        if isinstance(rec.verdict, qc.HasColoring):
-            assert qc.check_witness(rec.system, rec.verdict.witness) is None
+    # a record writes its class's witness through the inverse of the
+    # bijection that canonicalized its system.  At n=2 every bijection that
+    # fixes the origin is its own inverse, so three H runs at n=3 origins 1
+    # and 2 join the n=2 census: there the bijection is a 3-cycle on some
+    # records and an involution on others
+    ranges = [(2, CAPS, 0, qc.total_systems(2))]
+    for origin in (1, 2):
+        for h_mask in (0x0A3, 0x111, 0x1B6):
+            start = (origin << 9 | h_mask) << 9
+            ranges.append((3, qc.SearchBudget(), start, start + 512))
+    cycled = 0
+    for n, budget, start, stop in ranges:
+        for rec in census_records(n, budget, start, stop):
+            if isinstance(rec.verdict, qc.HasColoring):
+                assert qc.check_witness(rec.system, rec.verdict.witness) is None, rec
+                perm = qc.canonicalize(rec.system)[1]
+                cycled += any(perm[perm[c]] != c for c in range(n))
+    assert cycled > 500
 
 
 def test_verdicts_invariant_under_transposition():
@@ -384,16 +399,20 @@ def test_a_census_derives_each_mask_table_once(monkeypatch):
         return qc.classify(sys, budget)
 
     monkeypatch.setattr(census, "classify", counting)
-    systems._successors.cache_clear()
-    systems._relation.cache_clear()
+    tables = (systems._successors, systems._relation, search._walled)
+    for table in (*tables, search._walkers):
+        table.cache_clear()
     qc.run_census(3, qc.SearchBudget(), stop_after=8192)
-    built = systems._successors.cache_info()
-    derived = systems._relation.cache_info()
-    assert 0 < built.misses <= 512 and 0 < derived.misses <= 512, (built, derived)
+    built, derived, walled = (table.cache_info() for table in tables)
+    for info in built, derived, walled:
+        assert 0 < info.misses <= 512, info
     # every classified system is built from its H and V successor tables,
-    # and the shadow test reads the other tables
+    # the walk and the shadow test read the others, and each shadow answer
+    # is derived once per (mask, node set): at most 4,096 at n = 3
     assert built.hits + built.misses >= 2 * len(classified) > 1000, (built, len(classified))
-    assert derived.hits > 1000, derived
+    assert derived.hits > 1000 and walled.hits > 1000, (derived, walled)
+    walkers = search._walkers.cache_info()
+    assert 0 < walkers.misses <= walkers.maxsize == 4096 and walkers.hits > 1000, walkers
 
 
 def test_capped_chunks_match_direct_records(tmp_path, monkeypatch):

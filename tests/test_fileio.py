@@ -109,6 +109,7 @@ def test_parse_witness_checks_grid_shape():
         {**base, "p": 0},
         {**base, "q": -1},
         {**base, "cells": "xy"},
+        {**base, "cells": [[0, 1], [1, -1]]},  # a negative cell is no color
     ):
         with pytest.raises(qc.FileFormatError):
             parse_witness(bad)

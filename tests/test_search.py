@@ -270,6 +270,27 @@ def test_budgeted_witness_results_are_pinned():
     assert digest == "bd8ca8d6d054d71d93d5e6e52c790594028e4848ce10d863e538f3092bc4e4ad"
 
 
+def test_budgeted_results_beyond_n2_are_pinned():
+    # seeded n=3 and n=4 samples under a ladder of period and node caps:
+    # the torus search and classify give the same witnesses and verdicts as
+    # the engine these bytes were recorded from; most n=4 masks miss the
+    # per-mask caches, so this holds their miss path too
+    rng = random.Random(26)
+    sample = [random_system(rng, 3) for _ in range(150)]
+    sample += [random_system(rng, 4) for _ in range(100)]
+    results = []
+    for s in sample:
+        for period_cap in (1, 2, 3, 4):
+            for node_cap in (1, 5, 40, None):
+                budget = qc.SearchBudget(period_cap=period_cap, node_cap=node_cap)
+                results.append(qc.find_periodic_witness(s, budget))
+                results.append(qc.classify(s, budget))
+    kinds = {type(r) for r in results}
+    assert kinds == {type(None), qc.PeriodicWitness, qc.Bounded, qc.HasColoring, qc.Unknown}
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "a1623619286b0f7794049543e77e6ca6abf6c4bd05581e6b64325de618ce3d54"
+
+
 def test_walk_results_are_pinned(example_system, example_triangle):
     # the walk's modes the n=2 pin above does not reach, as the engine these
     # bytes were recorded from ran them: 13-color chains under node caps,
@@ -433,25 +454,50 @@ def test_a_shadow_means_exhaustion_reaches_the_cap():
 
 def test_shadows_match_the_brute_oracle():
     # brute_shadows builds each kind's graph pair by pair and walks it;
-    # _shadows reads the loops and the x - y graph off the shared tables
+    # _shadows reads each kind's answer off the per-mask caches, which the
+    # n=4 sample mostly misses
     rng = random.Random(24)
     systems = [qc.system_at(2, index) for index in range(qc.total_systems(2))]
     systems += [random_system(rng, 3) for _ in range(2000)]
-    found = [0] * 4
+    systems += [random_system(rng, 4) for _ in range(1000)]
+    found = {3: [0] * 4, 4: [0] * 4}
     for s in systems:
         kinds = brute_shadows(s)
         assert list(search._shadows(s)) == kinds, s
-        found = [f + k for f, k in zip(found, kinds)]
-    assert min(found) > 0, found  # every kind is exercised
+        if s.n > 2:
+            found[s.n] = [f + k for f, k in zip(found[s.n], kinds)]
+    assert min(found[3] + found[4]) > 0, found  # every kind is exercised
     # an origin with no H or no V successor is settled before any table is
     # derived: at n >= 4 most masks miss the cache, and a census run of V
     # masks under such an H would pay a transpose per class
     qc.systems._relation.cache_clear()
+    search._walkers.cache_clear()
     for _ in range(50):
         s = random_system(rng, 4)
         s = qc.ColoringSystem(4, s.origin, s.h_mask & ~(15 << 4 * s.origin), s.v_mask)
         assert list(search._shadows(s)) == brute_shadows(s) == [False] * 4, s
     assert qc.systems._relation.cache_info().currsize == 0
+    assert search._walkers.cache_info().currsize == 0
+
+
+def test_walk_tables_match_pairs():
+    # every mask at n = 1..3 and a seeded sample at n = 5, against the
+    # pair-by-pair definitions: the successor masks with the wall color's
+    # (every color) appended, and the colors that have a successor
+    rng = random.Random(26)
+    masks = [(n, mask) for n in (1, 2, 3) for mask in range(1 << n * n)]
+    masks += [(5, rng.getrandbits(25)) for _ in range(200)]
+    for n, mask in masks:
+        succ, live = search._walled(n, mask)
+        rows = [sum(1 << d for d in range(n) if mask >> (c * n + d) & 1) for c in range(n)]
+        assert succ == (*rows, (1 << n) - 1), (n, mask)
+        assert live == sum(1 << c for c in range(n) if rows[c]), (n, mask)
+    # one table per mask, read by every walk on a system with the mask
+    search._walled.cache_clear()
+    qc.max_accept_length(qc.ColoringSystem(3, 0, 0x11C, 0x152), qc.SearchBudget())
+    qc.max_accept_length(qc.ColoringSystem(3, 1, 0x152, 0x11C), qc.SearchBudget())
+    info = search._walled.cache_info()
+    assert (info.misses, info.hits) == (2, 2), info
 
 
 # one system per shadow kind that no other kind settles

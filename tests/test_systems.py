@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadcolor as qc
-from quadcolor import systems
+from quadcolor import fileio, systems
 from conftest import (
     brute_canonicalize,
     brute_rename,
@@ -101,17 +101,18 @@ def test_relation_tables_match_pairs():
     masks += [(5, rng.getrandbits(25)) for _ in range(200)]
     for n, mask in masks:
         pairs = {(c, d) for c, d in product(range(n), repeat=2) if mask >> (c * n + d) & 1}
-        succ, pred, loops = systems._relation(n, mask)
-        assert succ == tuple(sum(1 << d for d in range(n) if (c, d) in pairs) for c in range(n))
-        assert pred == tuple(sum(1 << c for c in range(n) if (c, d) in pairs) for d in range(n))
+        transpose, loops = systems._relation(n, mask)
+        assert transpose == sum(1 << (d * n + c) for c, d in pairs)
         assert loops == sum(1 << c for c in range(n) if (c, c) in pairs)
+        assert systems._successors(n, mask) == tuple(
+            sum(1 << d for d in range(n) if (c, d) in pairs) for c in range(n)
+        )
     # systems with one mask share its table: one h_next object, whatever
     # the origin or V
     s = qc.ColoringSystem(3, 0, 0x11C, 0x152)
     t = qc.ColoringSystem(3, 2, 0x11C, 0x0F0)
     u = qc.ColoringSystem(3, 1, 0x152, 0x11C)
     assert s.h_next is t.h_next is u.v_next is systems._successors(3, 0x11C)
-    assert s.h_next is systems._relation(3, 0x11C)[0]
     assert s.v_next is u.h_next
     # building a system derives its successor tables alone, so a mask that
     # misses the caches (most do at n >= 4) costs no transpose
@@ -350,6 +351,25 @@ def test_witness_problems_and_expansion():
     # a color out of range is an input error of the check, not a rejection
     with pytest.raises(qc.InputError):
         qc.check_witness(s, qc.PeriodicWitness(p=2, q=1, rows=((0, 5),)))
+
+
+def test_witness_cells_are_colors():
+    # a cell is an int >= 0, so every witness that builds writes a file
+    # that parse_witness reads back; True is no color, and neither is -1
+    for cell in (True, False, -1, 1.0, "1", None):
+        with pytest.raises(qc.InputError, match="witness cell"):
+            qc.PeriodicWitness(p=2, q=2, rows=((0, 1), (1, cell)))
+    with pytest.raises(qc.InputError, match="witness cell True"):
+        qc.PeriodicWitness(p=1, q=1, rows=((True,),))
+
+    class Color(int):
+        pass
+
+    # an int subclass other than bool is an int, as everywhere else
+    w = qc.PeriodicWitness(p=2, q=1, rows=((Color(1), 0),))
+    assert w == qc.PeriodicWitness(p=2, q=1, rows=((1, 0),))
+    for w in (w, qc.PeriodicWitness(p=3, q=2, rows=((0, 1, 2), (63, 4, 0)))):
+        assert fileio.parse_witness(qc.witness_to_json(w)) == w
 
 
 def test_check_witness_agrees_with_brute_torus():
