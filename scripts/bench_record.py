@@ -33,7 +33,7 @@ records under ``full_n3_sha256``.  Its runs record wall time, the CPU time
 of the census process and its workers, and the printed summary, under the
 workload names ``full-n3 jobs=1`` and ``full-n3 jobs=2``, and with two
 checkouts the file compares them as it does the workloads.  A run takes
-RUN_TIME on a 2-core host and its 84 MB output file is deleted after hashing.
+5-7 s on a 2-core x86-64 host and its 84 MB output file is deleted after hashing.
 
 Usage:
     python3 scripts/bench_record.py --out BENCH.json
