@@ -33,7 +33,16 @@ records under ``full_n3_sha256``.  Its runs record wall time, the CPU time
 of the census process and its workers, and the printed summary, under the
 workload names ``full-n3 jobs=1`` and ``full-n3 jobs=2``, and with two
 checkouts the file compares them as it does the workloads.  A run takes
-5-7 s on a 2-core x86-64 host and its 84 MB output file is deleted after hashing.
+3.1-3.4 s on a 2-core x86-64 host and its 84 MB output file is deleted after hashing.
+
+--n4-sample K also classifies a fixed sample of 3,000 n=4 systems
+(``random.Random(4)``: origin, then H and V masks, as the tests'
+random_system draws them) at the default budget, in a fresh process per
+run from the checkout's own source, K times per checkout and alternated
+in the same way.  Each run records the wall and CPU time of the classify
+loop alone, from cold caches, under the workload name ``n4-sample``, and
+checks the sha256 of the verdicts' JSON against N4_SAMPLE_SHA256, a pin
+of this script's own that the file records under ``n4_sample_sha256``.
 
 Usage:
     python3 scripts/bench_record.py --out BENCH.json
@@ -41,6 +50,7 @@ Usage:
     python3 scripts/bench_record.py PARENT_CHECKOUT . --out BENCH.json --workloads census-n3
     python3 scripts/bench_record.py PARENT_CHECKOUT . --out BENCH.json --workloads census-n3 --trace
     python3 scripts/bench_record.py PARENT_CHECKOUT . --out BENCH.json --workloads --full-census 5
+    python3 scripts/bench_record.py PARENT_CHECKOUT . --out BENCH.json --workloads --n4-sample 10
 """
 
 from __future__ import annotations
@@ -65,7 +75,29 @@ PIN = re.compile(r'^([A-Z_]+_SHA256) = "([0-9a-f]{64})"$', re.MULTILINE)
 # The full n=3 census file at the default budget, at every job count.
 FULL_N3_SHA256 = "6398d37ae02ca7a0f76099a819d07d4348577d5de2dfc717072b0f64f2ad1fa7"
 FULL_JOBS = (1, 2)
-FULL_METRICS = [
+# The verdicts of the n=4 sample at the default budget, as one JSON line each.
+N4_SAMPLE_SHA256 = "ab3f2fafc9d06be0e1433d30c43fd1f7f2f6b11523f9d818bfd8d9b0bceddc59"
+N4_SAMPLE_SIZE = 3000
+# Run in a fresh process: classify the sample from cold caches and print
+# the loop's wall and CPU time and the verdicts' sha256 as one JSON line.
+N4_SAMPLE_CHILD = f"""
+import hashlib, json, random, time
+import quadcolor as qc
+rng = random.Random(4)
+sample = [
+    qc.ColoringSystem(4, rng.randrange(4), rng.getrandbits(16), rng.getrandbits(16))
+    for _ in range({N4_SAMPLE_SIZE})
+]
+budget = qc.SearchBudget()
+wall, cpu = time.perf_counter(), time.process_time()
+verdicts = [qc.classify(s, budget) for s in sample]
+wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+digest = hashlib.sha256()
+for v in verdicts:
+    digest.update((json.dumps(qc.verdict_to_json(v), sort_keys=True) + "\\n").encode())
+print(json.dumps({{"wall_s": wall, "cpu_s": cpu, "sha256": digest.hexdigest()}}))
+"""
+PROCESS_METRICS = [
     {"name": "wall_s", "unit": "s", "better": "lower"},
     {"name": "cpu_s", "unit": "s", "better": "lower"},
 ]
@@ -134,6 +166,25 @@ def _full_census(checkout: Path, jobs: int) -> dict:
         "sha256": digest,
         "summary": json.loads(proc.stdout.strip().splitlines()[-1]),
         "metrics": {"wall_s": wall, "cpu_s": cpu},
+    }
+
+
+def _n4_sample(checkout: Path) -> dict:
+    """One classify pass over the n=4 sample from the checkout's own
+    source, with its verdicts' sha256 checked."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    try:
+        proc = subprocess.run([sys.executable, "-c", N4_SAMPLE_CHILD], cwd=checkout, env=env,
+                              capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"error": f"no result within {RUN_TIMEOUT_S} s"}
+    if proc.returncode != 0:
+        return {"error": f"exit code {proc.returncode}: {proc.stderr.strip()[-300:]}"}
+    result = json.loads(proc.stdout)
+    return {
+        "correct": result["sha256"] == N4_SAMPLE_SHA256,
+        "sha256": result["sha256"],
+        "metrics": {"wall_s": result["wall_s"], "cpu_s": result["cpu_s"]},
     }
 
 
@@ -219,6 +270,8 @@ def main() -> int:
                     help=f"workloads to record, from {', '.join(names)} (default: all)")
     ap.add_argument("--full-census", type=int, default=0, metavar="K",
                     help="also run the whole n=3 census K times per checkout at jobs 1 and 2")
+    ap.add_argument("--n4-sample", type=int, default=0, metavar="K",
+                    help=f"also classify the seeded {N4_SAMPLE_SIZE:,}-system n=4 sample K times per checkout")
     ap.add_argument("--trace", action="store_true",
                     help="also record each workload's per-layer metrics from one traced run per checkout")
     args = ap.parse_args()
@@ -242,14 +295,22 @@ def main() -> int:
         lambda checkout, key, i: _full_census(checkout, full_jobs[key]),
         lambda key, i: f"{key} run {i + 1}",
     )
+    sampled = _alternated(
+        checkouts, ["n4-sample"] if args.n4_sample else [], args.n4_sample,
+        lambda checkout, key, i: _n4_sample(checkout),
+        lambda key, i: f"{key} run {i + 1}",
+    )
     measured = [(w, runs, spec["end_to_end"]) for w in workloads]
-    measured += [(key, full, FULL_METRICS) for key in full_jobs]
+    measured += [(key, full, PROCESS_METRICS) for key in full_jobs]
+    if args.n4_sample:
+        measured.append(("n4-sample", sampled, PROCESS_METRICS))
 
     record = {
         "recorded_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "command": (
             "perfbench/run.py --trace 0" + ("; trace: perfbench/run.py --trace 1" if args.trace else "")
             + "; full-n3: python -m quadcolor.cli census 3 --jobs J"
+            + "; n4-sample: python -c N4_SAMPLE_CHILD"
         ),
         "seconds": seconds,
         "seeds": args.seeds,
@@ -278,6 +339,8 @@ def main() -> int:
     if full_jobs:
         # this script's own pin, checked against every checkout's output
         record["full_n3_sha256"] = FULL_N3_SHA256
+    if args.n4_sample:
+        record["n4_sample_sha256"] = N4_SAMPLE_SHA256
     if len(checkouts) == 2:
         record["comparison"] = {w: _comparison(r[0, w], r[1, w], metrics) for w, r, metrics in measured}
         for w, metrics in record["comparison"].items():
@@ -294,7 +357,7 @@ def main() -> int:
                 print(f"{w} traced {name}: {layers[0][name]:.4g} -> {layers[1][name]:.4g} {m['unit']}")
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     failed = sum(
-        1 for r in (*runs.values(), *traced.values(), *full.values()) for run in r if not run.get("correct")
+        1 for r in (*runs.values(), *traced.values(), *full.values(), *sampled.values()) for run in r if not run.get("correct")
     )
     print(f"wrote {args.out}; {failed} run(s) failed or were incorrect")
     return 1 if failed else 0

@@ -101,6 +101,10 @@ def _render_text(tri: TriangleColoring) -> bytes:
 
 
 def _render_svg(tri: TriangleColoring, palette: Palette, scale: int) -> bytes:
+    # imported here: xml.sax.saxutils pulls in urllib.request, which costs
+    # every importer of the package about 20 ms and 4 MB
+    from xml.sax.saxutils import escape
+
     side = 10 * scale
     rows = tri.rows()
     width = len(rows[0]) * side
@@ -115,10 +119,12 @@ def _render_svg(tri: TriangleColoring, palette: Palette, scale: int) -> bytes:
             r, g, b = palette.rgb(color)
             parts.append(
                 f'<rect x="{x * side}" y="{(max_y - y) * side}" width="{side}" height="{side}" '
-                f'fill="#{r:02x}{g:02x}{b:02x}"><title>{palette.name(color)}</title></rect>'
+                f'fill="#{r:02x}{g:02x}{b:02x}"><title>{escape(palette.name(color))}</title></rect>'
             )
     parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("ascii")
+    # a name is text, so &, < and > are escaped, and any character past
+    # ASCII is written as a character reference
+    return ("\n".join(parts) + "\n").encode("ascii", "xmlcharrefreplace")
 
 
 def _render_ppm(tri: TriangleColoring, palette: Palette, scale: int) -> bytes:

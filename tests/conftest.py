@@ -30,6 +30,15 @@ def example_sequence():
     return fx.example_triangle().seq
 
 
+@pytest.fixture(scope="session")
+def n3_census(tmp_path_factory):
+    """(path, summary) of the whole n=3 census at the default budget, run
+    once per session at jobs=1: 786,432 records in about 4 s."""
+    path = tmp_path_factory.mktemp("census") / "n3.jsonl"
+    summary = qc.run_census(3, qc.SearchBudget(), jobs=1, out_path=str(path))
+    return path, summary
+
+
 def write_json(path, value) -> str:
     """Write a system, triangle, witness or color sequence to path in the
     layout the command line reads, and return the path as a string."""

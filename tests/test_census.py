@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import random
+import re
 import time
 import tracemalloc
 
@@ -285,18 +286,26 @@ def test_verdicts_invariant_under_transposition():
     assert kinds == {"bounded", "has_coloring", "unknown"}
 
 
-def test_every_bounded_n3_class_matches_the_length_profile():
-    # the frontier sweep shares no walk with exhaustion: for each of the
-    # n=3 census's bounded classes at the census budget, it counts
-    # sequences of length max_len and none of length max_len + 1
-    budget = qc.SearchBudget()
-    bounded = {}
-    for _, cid, _, verdict in census._classified(3, budget, 0, qc.total_systems(3), {}):
-        if isinstance(verdict, qc.Bounded) and cid not in bounded:
-            _, _, h, v = cid.split(".")
-            bounded[cid] = (qc.ColoringSystem(3, 0, int(h, 16), int(v, 16)), verdict.max_len)
+def test_the_whole_n3_census_is_pinned(n3_census):
+    path, summary = n3_census
+    assert _sha256(path) == "6398d37ae02ca7a0f76099a819d07d4348577d5de2dfc717072b0f64f2ad1fa7"
+    assert (summary.bounded, summary.has_coloring, summary.unknown) == (355_653, 359_904, 70_875)
+    assert (summary.mu_lower_bound, summary.champion) == (13, 44_175)
+
+
+def test_every_bounded_n3_class_matches_the_length_profile(n3_census):
+    # the frontier sweep shares no walk with exhaustion: for each bounded
+    # class of the n=3 census file, it counts sequences of length max_len
+    # and none of length max_len + 1
+    bounded = set(re.findall(
+        r'"canonical_id":"(3\.0\.[0-9a-f]+\.[0-9a-f]+)","verdict":"bounded","detail":\{"max_len":(\d+)\}',
+        n3_census[0].read_text(),
+    ))
     assert len(bounded) == 59_550
-    for cid, (s, max_len) in bounded.items():
+    for cid, max_len in bounded:
+        _, _, h, v = cid.split(".")
+        s = qc.ColoringSystem(3, 0, int(h, 16), int(v, 16))
+        max_len = int(max_len)
         counts = qc.length_profile(s, qc.SearchBudget(depth_cap=max_len + 1)).counts
         assert counts[max_len - 1] > 0 and counts[max_len] == 0, cid
 

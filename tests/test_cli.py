@@ -192,6 +192,13 @@ def test_render_custom_palette(paths, tmp_path):
     assert main(["render", paths["triangle"], "--format", "svg",
                  "--palette", str(palette_path), "--out", str(out)]) == 0
     assert b"<title>c8</title>" in out.read_bytes()
+    # a name past ASCII is written as a character reference, not an error
+    palette_path.write_text(json.dumps(
+        [{"name": f"grün{i}", "rgb": [i, i, i]} for i in range(13)]
+    ))
+    assert main(["render", paths["triangle"], "--format", "svg",
+                 "--palette", str(palette_path), "--out", str(out)]) == 0
+    assert b"<title>gr&#252;n8</title>" in out.read_bytes()
 
 
 def test_render_rejects_bad_palette(paths, tmp_path, capsys):

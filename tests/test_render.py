@@ -2,6 +2,7 @@
 palette behavior, and the text roundtrip."""
 
 import hashlib
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,17 @@ def test_svg_structure():
     assert "#ff0000" in data  # color 0 is red
     assert "<title>red</title>" in data
     assert "<title>blue</title>" in data
+
+
+def test_svg_names_are_escaped_text():
+    # a name may hold markup characters or letters past ASCII: each parses
+    # back out of its rect's title, and the SVG stays ASCII
+    palette = qc.Palette(entries=(("R&D <x>", (0, 0, 0)), ("grün", (9, 9, 9)), ("a", (1, 1, 1))))
+    data = qc.render_triangle(small_triangle(), fmt="svg", palette=palette)
+    data.decode("ascii")
+    root = ET.fromstring(data)
+    titles = [el.text for el in root.iter("{http://www.w3.org/2000/svg}title")]
+    assert titles == ["R&D <x>", "a", "grün"]
 
 
 def test_svg_is_deterministic(example_triangle):

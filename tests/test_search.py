@@ -3,6 +3,7 @@ profiles, extendability, chains, witnesses, classification soundness."""
 
 import hashlib
 import random
+import re
 from itertools import product
 
 import pytest
@@ -235,6 +236,50 @@ def test_the_n4_champion_is_certified_twice():
     swapped = qc.ColoringSystem(4, 0, 0x7d2a, 0x1797)
     assert qc.max_accept_length(swapped, qc.SearchBudget(depth_cap=64)) == qc.ExactMax(41)
     assert sum(qc.tile_at(41)) == sum(qc.tile_at(39))
+
+
+def _certified(s, result) -> bool:
+    """Whether an exhaustion result holds by a certificate that shares no
+    walk with the growing one: ExactMax(L) by the frontier sweep, which
+    counts sequences of length L and none of length L + 1, and
+    ReachedCap(cap) by the checker accepting the chain to the cap, whose
+    walk has a fixed target."""
+    if isinstance(result, qc.ExactMax):
+        counts = qc.length_profile(s, qc.SearchBudget(depth_cap=result.length + 1)).counts
+        return counts[result.length - 1] > 0 and counts[result.length] == 0
+    return qc.check_sequence(s, qc.build_chain(s, result.depth)) is None
+
+
+def test_exhaustion_agrees_with_independent_certificates(n3_census):
+    # every class of the census-n3 prefix (its first 98,303 systems) whose
+    # exhaustion runs and reaches the cap: the rest are bounded, constant or
+    # shadowed, and classify walks none of those to the cap
+    with open(n3_census[0]) as fh:
+        head = "".join(next(fh) for _ in range(98_303))
+    classes = dict.fromkeys(re.findall(
+        r'"canonical_id":"3\.0\.([0-9a-f]+)\.([0-9a-f]+)","verdict":"(?:has_coloring|unknown)"', head
+    ))
+    capped = []
+    for h, v in classes:
+        s = qc.ColoringSystem(3, 0, int(h, 16), int(v, 16))
+        if not (s.h_mask & s.v_mask & 1 or any(search._shadows(s))):
+            capped.append(s)
+    assert len(capped) == 1_061
+    for s in capped:
+        assert qc.max_accept_length(s, qc.SearchBudget()) == qc.ReachedCap(64), s
+        assert _certified(s, qc.ReachedCap(64)), s
+    # seeded n=4 and n=5 samples, at a cap where the chains stay cheap (a
+    # fixed-target walk does not backjump), then the mu(4) champion
+    rng = random.Random(27)
+    sample = [random_system(rng, 4) for _ in range(2_000)] + [random_system(rng, 5) for _ in range(400)]
+    kinds = set()
+    for s in sample:
+        result = qc.max_accept_length(s, qc.SearchBudget(depth_cap=36))
+        assert _certified(s, result), s
+        kinds.add((s.n, type(result)))
+    assert kinds == {(n, kind) for n in (4, 5) for kind in (qc.ExactMax, qc.ReachedCap)}
+    champion = qc.ColoringSystem(4, 0, 0x1797, 0x7d2a)
+    assert _certified(champion, qc.max_accept_length(champion, qc.SearchBudget()))
 
 
 def test_budgeted_search_results_are_pinned():
