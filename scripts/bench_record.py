@@ -33,7 +33,7 @@ records under ``full_n3_sha256``.  Its runs record wall time, the CPU time
 of the census process and its workers, and the printed summary, under the
 workload names ``full-n3 jobs=1`` and ``full-n3 jobs=2``, and with two
 checkouts the file compares them as it does the workloads.  A run takes
-3.1-3.4 s on a 2-core x86-64 host and its 84 MB output file is deleted after hashing.
+2.9-3.3 s on a 2-core x86-64 host and its 84 MB output file is deleted after hashing.
 
 --n4-sample K also classifies a fixed sample of 3,000 n=4 systems
 (``random.Random(4)``: origin, then H and V masks, as the tests'

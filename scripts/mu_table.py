@@ -5,7 +5,7 @@ print the resulting bound table.
 The two-color run finishes in under a second.  Three colors is feasible
 on a desk machine: 786,432 systems in 131,584 isomorphism classes.  A
 census process classifies each class it meets once, so at jobs=1 every
-class is classified exactly once; the run took about 3.3 s at jobs=1
+class is classified exactly once; the run took about 2.9 s at jobs=1
 (Python 3.11, one core of a 2-core x86-64 box).  Expect unknowns: some
 systems color the quadrant without any torus doing so through the
 origin, and no period cap closes those.

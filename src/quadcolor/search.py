@@ -55,9 +55,16 @@ a relation mask and a node set, and its infinite-walk nodes are cached
 by those (_walkers), so the shadow test is a few table reads.  A shadow
 colors the quadrant, so where no node cap is set it stands in for the
 dive to the depth cap that exhaustion would make.  The torus search reads its period
-order from a cache (_periods) and skips each width with no row in the
-origin color.  Its row graphs keep their H half, and a memo of the unions
-their V half reads, cached by H's table (_wrap_rows).
+order from a cache (_periods).  Without a node cap it skips each p x q
+shape whose column 0 cannot close: column 0 of a p x q torus is a closed
+V-walk of q cells, each the first cell of a wrap-legal width-p row, so
+where no such walk leaves the origin color no torus of that shape exists.
+It builds a width's row graph only when one of its shapes survives.  A
+budgeted search skips only the widths with no row in the origin color,
+which cost it no node, so its node cap runs out where it did before the
+skip.  Its row graphs keep their H half, and a memo of the unions their V
+half reads, cached by H's table (_wrap_rows).  The verdicts that carry no
+witness are shared, one object per length or per (depth, period cap).
 """
 
 from __future__ import annotations
@@ -459,6 +466,30 @@ def _row_graph(sys: ColoringSystem, p: int) -> tuple[tuple, list, int]:
     return rows, succ, with_color[0][sys.origin]
 
 
+def _closing_heights(sys: ColoringSystem, firsts: tuple, cap: int) -> int:
+    """The heights q <= cap at which column 0 of a width-p torus can close,
+    as a bitmask with bit q set: those of the closed V-walks of q steps from
+    the origin color through the colors that begin a wrap-legal width-p row
+    (firsts[c], the rows with color c at position 0, is not empty)."""
+    through = 0
+    for c, rows in enumerate(firsts):
+        if rows:
+            through |= 1 << c
+    v_next = sys.v_next
+    o = sys.origin
+    heights = 0
+    reach = 1 << o
+    for q in range(1, cap + 1):
+        step = 0
+        while reach:
+            low = reach & -reach
+            reach ^= low
+            step |= v_next[low.bit_length() - 1]
+        reach = step & through
+        heights |= (reach >> o & 1) << q
+    return heights
+
+
 @lru_cache(maxsize=16)
 def _periods(cap: int) -> tuple:
     """(p * q, p, q) for every period up to the cap, in search order."""
@@ -476,20 +507,37 @@ def find_periodic_witness(
     Rows are the search unit: a p x q torus coloring is a closed walk of
     length q in the row graph, whose nodes are the horizontally wrap-legal
     rows and whose edges are vertical compatibility.  The graph is built
-    once per width p, with each row's successors as a bitset of row
-    indices, and skipped when no row starts in the origin color.  Rows are
-    sorted, so walking successors lowest bit first visits complete
-    colorings in the same order as a cell-by-cell search: the first
-    witness is the lexicographically least one, but failed branches die a
-    whole row at a time.
+    at most once per width p, with each row's successors as a bitset of
+    row indices.  Rows are sorted, so walking successors lowest bit first
+    visits complete colorings in the same order as a cell-by-cell search:
+    the first witness is the lexicographically least one, but failed
+    branches die a whole row at a time.
+
+    Without a node cap, the search first works out, when the period order
+    first reaches width p, the heights q at which column 0 can close
+    (_closing_heights), and skips every other (p, q) shape: column 0 of a
+    p x q torus is a closed V-walk of q cells from the origin color, and
+    each of its cells begins a row of the torus, so a wrap-legal width-p
+    row.  A width none of whose heights can close builds no row graph.
+    With a node cap, the search skips only the widths with no row starting
+    in the origin color, which would spend no node: skipping a shape that
+    spends nodes would move where the cap runs out, and so a capped result.
     """
     nodes_left = budget.node_cap
+    cap = budget.period_cap
+    heights: dict = {}
     graphs: dict = {}
-    for _, p, q in _periods(budget.period_cap):
-        if p not in graphs:  # no start row: no walk, and no node spent
-            graphs[p] = _wrap_rows(sys.h_next, p)[1][0][sys.origin] and _row_graph(sys, p)
-        if not graphs[p]:
+    for _, p, q in _periods(cap):
+        if p not in heights:
+            firsts = _wrap_rows(sys.h_next, p)[1][0]
+            if nodes_left is not None:  # no start row: no walk, and no node spent
+                heights[p] = -1 if firsts[sys.origin] else 0
+            else:
+                heights[p] = _closing_heights(sys, firsts, cap)
+        if not heights[p] >> q & 1:
             continue
+        if p not in graphs:
+            graphs[p] = _row_graph(sys, p)
         rows, succ, starts = graphs[p]
         # DFS over walks of q rows: stack[i] holds the rows still to try as
         # walk[i], so len(stack) == len(walk) + 1; a walk of q rows is a
@@ -581,6 +629,11 @@ def _shadows(sys: ColoringSystem) -> Iterator[bool]:
 # The verdict of an origin color with both self-loops, one object per color:
 # the constant 1x1 torus.
 _CONSTANT = tuple(HasColoring(PeriodicWitness(p=1, q=1, rows=((c,),))) for c in range(MAX_COLORS))
+# The other verdicts without a witness, one object per length or per
+# (depth, period cap), so a census's class table holds a few dozen objects
+# for the collector to walk instead of one per class.
+_bounded = lru_cache(maxsize=None)(Bounded)
+_unknown = lru_cache(maxsize=None)(Unknown)
 
 
 def classify(sys: ColoringSystem, budget: SearchBudget) -> Verdict:
@@ -588,7 +641,9 @@ def classify(sys: ColoringSystem, budget: SearchBudget) -> Verdict:
 
     1. An origin color with an H and a V self-loop colors the quadrant
        constantly, and the 1x1 torus (one object per origin color) is
-       returned without search.
+       returned without search.  Bounded and Unknown verdicts are shared
+       the same way, one object per length and per (depth, period cap), so
+       equal verdicts are the same object.
     2. Without a node cap, a 1-D shadow (_shadows, a few reads of the
        per-mask caches _relation and _walkers) proves that the quadrant
        has a coloring.  Its first depth_cap tiles are then an
@@ -616,9 +671,9 @@ def classify(sys: ColoringSystem, budget: SearchBudget) -> Verdict:
     else:
         result = max_accept_length(sys, budget)
         if isinstance(result, ExactMax):
-            return Bounded(result.length)
+            return _bounded(result.length)
     witness = find_periodic_witness(sys, budget)
     if witness is not None:
         return HasColoring(witness)
     depth = result.depth if isinstance(result, ReachedCap) else result.max_seen
-    return Unknown(depth_reached=depth, period_cap_reached=budget.period_cap)
+    return _unknown(depth, budget.period_cap)

@@ -367,20 +367,110 @@ def test_walk_results_are_pinned(example_system, example_triangle):
     assert digest == "a7c944b83d9f8f98d542418f9a0017567b82a65dfa0dfeef76fcb46135abc32a"
 
 
+def _first_torus(s, cap):
+    """(p, q, rows) of the least brute-force torus in (p * q, p, q) order."""
+    for _, p, q in sorted((p * q, p, q) for p in range(1, cap + 1) for q in range(1, cap + 1)):
+        tori = brute_torus_colorings(s, p, q)
+        if tori:
+            return p, q, min(tori)
+    return None
+
+
+def _triple(witness):
+    return witness and (witness.p, witness.q, witness.rows)
+
+
 @given(system_strategy(max_colors=3))
 @settings(max_examples=80, deadline=None)
 def test_witness_is_first_in_period_order(s):
-    found = qc.find_periodic_witness(s, qc.SearchBudget(period_cap=3))
-    expected = None
-    for _, p, q in sorted((p * q, p, q) for p in (1, 2, 3) for q in (1, 2, 3)):
-        tori = brute_torus_colorings(s, p, q)
-        if tori:
-            expected = (p, q, min(tori))
-            break
-    if expected is None:
-        assert found is None
-    else:
-        assert (found.p, found.q, found.rows) == expected
+    assert _triple(qc.find_periodic_witness(s, qc.SearchBudget(period_cap=3))) == _first_torus(s, 3)
+
+
+def test_the_column_skip_changes_no_witness():
+    # without a node cap the torus search skips the shapes whose column 0
+    # cannot close; under a cap too large to bind (no test walks 10^12
+    # nodes) it tries every shape, so the two must agree, and on every n=2
+    # system at cap 3 both are the first brute-force torus
+    rng = random.Random(28)
+    sample = [qc.system_at(2, index) for index in range(512)]
+    sample += [random_system(rng, 3) for _ in range(1000)]
+    sample += [random_system(rng, 4) for _ in range(1000)]
+    found = 0
+    for s in sample:
+        for period_cap in range(1, 6):
+            witness = qc.find_periodic_witness(s, qc.SearchBudget(period_cap=period_cap))
+            capped = qc.SearchBudget(period_cap=period_cap, node_cap=10**12)
+            assert witness == qc.find_periodic_witness(s, capped), (s, period_cap)
+            if s.n == 2 and period_cap == 3:
+                assert _triple(witness) == _first_torus(s, 3), s
+            found += witness is not None
+    assert 0 < found < 5 * len(sample)
+
+
+def _closing_widths(s, cap):
+    """The widths p <= cap at which some column 0 closes within cap rows,
+    by brute force: q cells from the origin color, each the first cell of
+    a wrap-legal width-p row, with every vertical pair in V, wrap included."""
+    widths = set()
+    for p in range(1, cap + 1):
+        firsts = {row[0] for row in product(range(s.n), repeat=p)
+                  if all(s.h_allows(row[x], row[(x + 1) % p]) for x in range(p))}
+        columns = (column for q in range(1, cap + 1) for column in product(firsts, repeat=q))
+        if any(column[0] == s.origin and all(map(s.v_allows, column, column[1:] + column[:1]))
+               for column in columns):
+            widths.add(p)
+    return widths
+
+
+def test_the_column_skip_builds_no_row_graph_it_cannot_use(monkeypatch):
+    # on systems with no torus up to the cap, every width is reached: an
+    # unbudgeted search builds the row graph of each width where some
+    # column 0 closes, and a budgeted one, which keeps the tree of the
+    # search without the skip, that of each width with a row starting in
+    # the origin color
+    built = []
+    real = search._row_graph
+
+    def counting(sys, p):
+        built.append(p)
+        return real(sys, p)
+
+    monkeypatch.setattr(search, "_row_graph", counting)
+    unbudgeted = qc.SearchBudget(period_cap=3)
+    budgeted = qc.SearchBudget(period_cap=3, node_cap=10**12)
+    rng = random.Random(28)
+    sample = [qc.system_at(2, index) for index in range(512)]
+    sample += [random_system(rng, 3) for _ in range(300)]
+    skipped = 0
+    for s in sample:
+        built.clear()
+        if qc.find_periodic_witness(s, unbudgeted) is not None:
+            continue
+        closing = _closing_widths(s, 3)
+        assert sorted(built) == sorted(closing), s
+        starting = {p for p in (1, 2, 3) if search._wrap_rows(s.h_next, p)[1][0][s.origin]}
+        built.clear()
+        assert qc.find_periodic_witness(s, budgeted) is None
+        assert sorted(built) == sorted(starting), s
+        skipped += len(starting - closing)
+    assert skipped
+
+
+def test_classify_shares_its_verdicts():
+    # one Bounded per length and one Unknown per (depth, period cap), as
+    # one HasColoring per origin color for the 1x1 torus: equal verdicts
+    # without a witness are the same object
+    budget = qc.SearchBudget()
+    first = {}
+    repeats = set()
+    for index in range(512):
+        verdict = qc.classify(qc.system_at(2, index), budget)
+        if not isinstance(verdict, qc.HasColoring):
+            if verdict in first:
+                assert verdict is first[verdict]
+                repeats.add(type(verdict))
+            first.setdefault(verdict, verdict)
+    assert repeats == {qc.Bounded, qc.Unknown}
 
 
 def test_witness_for_vertical_stripes():
