@@ -28,13 +28,7 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Iterator, Optional
 
-from .fileio import (
-    FileFormatError,
-    _as_int,
-    _require_keys,
-    dump_pretty,
-    parse_witness,
-)
+from .fileio import FileFormatError, dump_pretty
 from .search import SearchBudget, classify
 from .systems import (
     MAX_CANON_COLORS,
@@ -42,6 +36,7 @@ from .systems import (
     ColoringSystem,
     HasColoring,
     InputError,
+    PeriodicWitness,
     Unknown,
     Verdict,
     _is_int,
@@ -258,41 +253,41 @@ def _back(perm: tuple) -> tuple:
     return tuple(back)
 
 
-def _verdict_from_fields(kind, fields, what: str) -> Verdict:
-    """The verdict of ``kind`` with these fields: max_len for bounded, the
-    witness's own p, q and cells for has_coloring, depth_reached and
-    period_cap_reached for unknown.  This is the detail object _line writes."""
-    if kind == "has_coloring":
-        return HasColoring(witness=parse_witness(fields, what))
-    if kind == "bounded":
-        cls, keys = Bounded, ("max_len",)
-    elif kind == "unknown":
-        cls, keys = Unknown, ("depth_reached", "period_cap_reached")
-    else:
-        raise FileFormatError(f"{what}: unknown verdict kind {kind!r}")
-    _require_keys(fields, keys, what)
-    values = {key: _as_int(fields[key], f"{what}.{key}") for key in keys}
-    try:
-        return cls(**values)
-    except InputError as exc:
-        raise FileFormatError(f"{what}: {exc}") from None
+# The verdict classes that a record's detail object builds by keyword.
+_DETAILED = {"bounded": Bounded, "unknown": Unknown}
 
 
 def parse_record_line(n: int, line: str) -> CensusRecord:
+    """The record of a census line at color count n: the exact inverse of
+    _line, so the record format lives in one place.
+
+    The line is accepted only when _line, given the record read from it and
+    the identity bijection, writes back the same bytes; it may carry one
+    trailing newline.  Any other JSON text of the same record (other key
+    order or spacing, escapes, duplicate or unknown keys, bools posing as
+    ints) raises a FileFormatError, as does a line whose fields build no
+    record; a detail field that its verdict refuses is named.
+    """
     what = "census record"
     try:
         obj = json.loads(line)
+        index, cid, kind, detail = (obj[key] for key in ("system_index", "canonical_id", "verdict", "detail"))
+        if kind == "has_coloring":
+            cells = tuple(map(tuple, detail["cells"]))
+            verdict = HasColoring(PeriodicWitness(detail["p"], detail["q"], cells))
+        else:
+            verdict = _DETAILED[kind](**detail)
+        rec = CensusRecord(index, system_at(n, index), verdict, cid)
+        same = _line(index, cid, verdict, tuple(range(n))) == line.removesuffix("\n")
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{what}: {exc.msg} at column {exc.colno}") from exc
-    _require_keys(obj, ("system_index", "canonical_id", "verdict", "detail"), what)
-    index = _as_int(obj["system_index"], f"{what}.system_index")
-    cid = obj["canonical_id"]
-    if not isinstance(cid, str):
-        raise FileFormatError(f"{what}.canonical_id must be a string")
-    verdict = _verdict_from_fields(obj["verdict"], obj["detail"], f"{what}.detail")
-    return CensusRecord(
-        system_index=index, system=system_at(n, index), verdict=verdict, canonical_id=cid
-    )
+    except KeyError as exc:
+        raise FileFormatError(f"{what}: no key or verdict kind {exc}") from None
+    except (TypeError, IndexError, InputError) as exc:
+        raise FileFormatError(f"{what}: {exc}") from None
+    if not same:
+        raise FileFormatError(f"{what}: not the line run_census writes for it")
+    return rec
 
 
 # -- summaries --------------------------------------------------------------------

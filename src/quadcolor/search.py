@@ -323,11 +323,9 @@ def enumerate_sequences(sys: ColoringSystem, length: int) -> Enumeration:
     return Enumeration(sequences=tuple(_leaves(sys, length, (), None)[0]))
 
 
-def length_profile(
-    sys: ColoringSystem, budget: SearchBudget
-) -> Union[LengthProfile, Indeterminate]:
-    """Exact per-length counts up to the depth cap, from one sweep over
-    frontier words.
+def length_profile(sys: ColoringSystem, length: int) -> LengthProfile:
+    """Exact counts of the acceptable sequences of each length up to
+    ``length``, from one sweep over frontier words.
 
     Before tile k = (x, y) with s = x + y is placed, its frontier word
     holds the colors of tiles k-s-1..k-1, or k-s..k-1 when x == 0: exactly
@@ -335,26 +333,19 @@ def length_profile(
     the word alone decides every extension.  Each level maps a word to the
     number of accepted prefixes ending in it, and counts[k] is the sum of
     those numbers once tile k is placed.
-
-    node_cap counts frontier words expanded.  When it runs out, the result
-    is Indeterminate, with max_seen the longest length whose count
-    completed.
     """
+    if not _is_count(length):
+        raise InputError(f"sequence length must be an int >= 1, got {length!r}")
     h_next = sys.h_next
     v_next = sys.v_next
     full = (1 << sys.n) - 1
-    nodes_left = budget.node_cap
-    counts = [0] * budget.depth_cap
+    counts = [0] * length
     frontier = {(): 1}
-    xs, ss = _geometry(budget.depth_cap)
-    for k in range(budget.depth_cap):
+    xs, ss = _geometry(length)
+    for k in range(length):
         x = xs[k]
         grown: dict = {}
         for word, mult in frontier.items():
-            if nodes_left is not None:
-                if nodes_left == 0:
-                    return Indeterminate(max_seen=k, nodes=budget.node_cap)
-                nodes_left -= 1
             cand = full if k else 1 << sys.origin
             if x:
                 cand &= h_next[word[0]]

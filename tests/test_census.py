@@ -134,6 +134,20 @@ def test_record_line_roundtrip():
         assert qc.parse_record_line(2, qc.record_line(rec)) == rec
 
 
+def _respellings(line):
+    """Four other JSON texts of the n=2 record on ``line``, a line that ends
+    in a newline, each with its own line ending: a JSON parse reads each
+    as the same record."""
+    body = line.removesuffix("\n")
+    index = json.loads(body)["system_index"]
+    return {
+        "spaced": json.dumps(json.loads(body)) + "\n",
+        "duplicate_key": body.replace("{", f'{{"system_index":{index},', 1) + "\n",
+        "escaped_id": body.replace('"canonical_id":"2', '"canonical_id":"\\u0032') + "\n",
+        "crlf": body + "\r\n",
+    }
+
+
 def test_record_line_parse_is_strict():
     with pytest.raises(qc.FileFormatError):
         qc.parse_record_line(2, "not json")
@@ -144,6 +158,14 @@ def test_record_line_parse_is_strict():
         qc.parse_record_line(2, good.replace("bounded", "mystery"))
     with pytest.raises(qc.FileFormatError):
         qc.parse_record_line(2, good.replace('"system_index":0', '"system_index":true'))
+    # the reader is _line's inverse: only the written bytes, with at most
+    # one newline, read back, and other JSON texts of the record do not
+    assert qc.parse_record_line(2, good + "\n") == qc.parse_record_line(2, good)
+    respelled = [*_respellings(good + "\n").values(), good.replace(":0,", ":-0,", 1)]
+    for bad in respelled:
+        assert json.loads(bad) == json.loads(good)
+        with pytest.raises(qc.FileFormatError, match="not the line run_census writes"):
+            qc.parse_record_line(2, bad)
 
     def line(**fields):
         return json.dumps({"system_index": 0, "canonical_id": "2.0.0.0", **fields})
@@ -306,7 +328,7 @@ def test_every_bounded_n3_class_matches_the_length_profile(n3_census):
         _, _, h, v = cid.split(".")
         s = qc.ColoringSystem(3, 0, int(h, 16), int(v, 16))
         max_len = int(max_len)
-        counts = qc.length_profile(s, qc.SearchBudget(depth_cap=max_len + 1)).counts
+        counts = qc.length_profile(s, max_len + 1).counts
         assert counts[max_len - 1] > 0 and counts[max_len] == 0, cid
 
 
@@ -750,6 +772,24 @@ def test_resume_truncates_at_a_record_with_a_bad_field(tmp_path):
     summary = qc.run_census(2, CAPS, out_path=str(out), resume=True)
     assert qc.summary_to_json(summary) == N2_SUMMARY
     assert len(out.read_text().splitlines()) == 512
+
+
+@pytest.mark.parametrize("spelling", ["spaced", "duplicate_key", "escaped_id", "crlf"])
+def test_resume_rewrites_a_record_in_other_bytes(tmp_path, spelling):
+    # a line that a JSON parse reads as the right record, in bytes other
+    # than the census writes, ends the good run too, so a resumed file is
+    # byte-equal to a fresh one
+    out = tmp_path / "respelled.jsonl"
+    qc.run_census(2, CAPS, out_path=str(out), stop_after=100)
+    lines = out.read_text().splitlines(keepends=True)
+    lines[50] = _respellings(lines[50])[spelling]
+    with open(out, "w", newline="") as fh:
+        fh.write("".join(lines))
+    summary = qc.run_census(2, CAPS, out_path=str(out), resume=True)
+    assert qc.summary_to_json(summary) == N2_SUMMARY
+    fresh = tmp_path / "fresh.jsonl"
+    qc.run_census(2, CAPS, out_path=str(fresh))
+    assert out.read_bytes() == fresh.read_bytes()
 
 
 def test_resume_rejects_mismatched_budget(tmp_path):

@@ -133,7 +133,7 @@ def test_verdict_roundtrips():
             "canonical_id": class_id(system),
             "verdict": obj["kind"],
             "detail": detail,
-        })
+        }, separators=(",", ":"))
         assert qc.parse_record_line(2, line).verdict == v
     with pytest.raises(TypeError, match="not a verdict"):
         qc.verdict_to_json(qc.PeriodicWitness(p=1, q=1, rows=((0,),)))

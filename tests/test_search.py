@@ -66,7 +66,7 @@ def test_enumerate_matches_brute_filtration(s, length):
 @given(system_strategy(max_colors=3))
 @settings(max_examples=100, deadline=None)
 def test_length_profile_matches_brute(s):
-    profile = qc.length_profile(s, SMALL)
+    profile = qc.length_profile(s, SMALL.depth_cap)
     levels = brute_levels(s, SMALL.depth_cap)
     assert isinstance(profile, qc.LengthProfile)
     assert list(profile.counts) == [len(level) for level in levels]
@@ -192,15 +192,14 @@ def test_node_budget_reports_indeterminate():
 
 
 def test_budgeted_length_profile_counts_frontier_words():
-    # on the free system the sweep expands 1, 1, 2 and 4 frontier words
-    # for tiles 0..3; a node cap stops it inside the first tile it cannot
-    # finish, and max_seen is the longest length whose count completed
+    # on the free system, with the origin fixed, every other tile takes
+    # either color; the length is a count of tiles, checked like any other
     s = qc.ColoringSystem.from_pairs(2, 0, [(0, 0), (0, 1), (1, 0), (1, 1)],
                                      [(0, 0), (0, 1), (1, 0), (1, 1)])
-    for node_cap, max_seen in ((1, 1), (2, 2), (3, 2), (5, 3), (8, 4)):
-        budget = qc.SearchBudget(depth_cap=40, node_cap=node_cap)
-        assert qc.length_profile(s, budget) == qc.Indeterminate(max_seen=max_seen, nodes=node_cap)
-    profile = qc.length_profile(s, qc.SearchBudget(depth_cap=12))
+    for bad in (0, True, 12.0):
+        with pytest.raises(qc.InputError, match="sequence length"):
+            qc.length_profile(s, bad)
+    profile = qc.length_profile(s, 12)
     assert profile == qc.LengthProfile(counts=tuple(2 ** (length - 1) for length in range(1, 13)))
 
 
@@ -215,11 +214,10 @@ def test_exhaustion_matches_the_length_profile_at_the_census_cap():
     samples += [(random_system(rng, 3), 21) for _ in range(600)]
     kinds = {2: set(), 3: set()}
     for s, cap in samples:
-        budget = qc.SearchBudget(depth_cap=cap)
-        counts = qc.length_profile(s, budget).counts
+        counts = qc.length_profile(s, cap).counts
         longest = max(k + 1 for k, count in enumerate(counts) if count)
         expected = qc.ExactMax(longest) if longest < cap else qc.ReachedCap(cap)
-        assert qc.max_accept_length(s, budget) == expected, s
+        assert qc.max_accept_length(s, qc.SearchBudget(depth_cap=cap)) == expected, s
         kinds[s.n].add(type(expected))
     assert kinds == {2: {qc.ExactMax, qc.ReachedCap}, 3: {qc.ExactMax, qc.ReachedCap}}
 
@@ -231,7 +229,7 @@ def test_the_n4_champion_is_certified_twice():
     s = qc.ColoringSystem(4, 0, 0x1797, 0x7d2a)
     assert class_id(s) == "4.0.1797.7d2a"
     assert qc.max_accept_length(s, qc.SearchBudget(depth_cap=64)) == qc.ExactMax(39)
-    counts = qc.length_profile(s, qc.SearchBudget(depth_cap=45)).counts
+    counts = qc.length_profile(s, 45).counts
     assert max(k + 1 for k, count in enumerate(counts) if count) == 39
     swapped = qc.ColoringSystem(4, 0, 0x7d2a, 0x1797)
     assert qc.max_accept_length(swapped, qc.SearchBudget(depth_cap=64)) == qc.ExactMax(41)
@@ -245,7 +243,7 @@ def _certified(s, result) -> bool:
     ReachedCap(cap) by the checker accepting the chain to the cap, whose
     walk has a fixed target."""
     if isinstance(result, qc.ExactMax):
-        counts = qc.length_profile(s, qc.SearchBudget(depth_cap=result.length + 1)).counts
+        counts = qc.length_profile(s, result.length + 1).counts
         return counts[result.length - 1] > 0 and counts[result.length] == 0
     return qc.check_sequence(s, qc.build_chain(s, result.depth)) is None
 
