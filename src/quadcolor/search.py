@@ -22,27 +22,27 @@ set-up derives no table.  The loop places the candidates one at a time,
 computing the next tile's candidates right after each placement, and
 backtracks when none is left.
 
-An unbudgeted exhaustion walk backjumps (Gaschnig 1979): when a tile
-has no candidate the moment it is reached, the walk resumes at the later
-of its two neighbors, not at the tile before it.  Only those neighbors
-and the tile's mask decide its candidates, the tiles in between change
+An exhaustion walk backjumps (Gaschnig 1979): when a tile has no
+candidate the moment it is reached, the walk resumes at the later of its
+two neighbors, not at the tile before it.  Only those neighbors and
+the tile's mask decide its candidates, the tiles in between change
 neither, and the prune marks only shrink, so every retry in between
 would find the tile dead again.  Such a retry places at most as many
 tiles as the walk already has, so it could neither grow the horizon nor
 reach a leaf: verdicts, lengths and record bytes are the walk's without
-the jump, in fewer nodes.  A budgeted walk keeps the one-tile
-backtracking, so that a node cap runs out at the node it always did.  So
-does a fixed-target walk (chains and enumeration) for now: the jump would
-cut the example chain's walk from 9.3 M nodes to 0.27 M, under the
-interval at which perfbench's speed probe publishes, so it waits for the
-probe's repair.
+the jump, in fewer nodes.  A fixed-target walk (chains and enumeration)
+does not jump for now: the jump would cut the example chain's walk from
+9.3 M nodes to 0.27 M, under the interval at which perfbench's speed
+probe publishes, so it waits for the probe's repair.
 
-The walk holds no state between calls.  Given a node cap, it returns None
-for its leaves when the cap runs out, and the caller reports
-Indeterminate.  The prune drops colors whose H- or V-successor set is
-empty once the neighbor tile they doom falls inside the horizon.  This
-never changes a result (the tests compare against brute-force
-filtration) but lets bounded systems die fast.
+The walk holds no state between calls.  The prune drops colors whose H-
+or V-successor set is empty once the neighbor tile they doom falls
+inside the horizon.  This never changes a result (the tests compare
+against brute-force filtration) but lets bounded systems die fast.
+
+Every search walks one tree whatever its budget: a node cap cuts short
+the unbudgeted walk, in the same order, and the caller reports what it
+reached (Indeterminate, or no witness).
 
 The length profile sweeps frontier words level by level, not the tree,
 merging prefixes that end in the same word and counting them together.
@@ -53,18 +53,16 @@ or x - y, read off four n-node graphs with no search), exhaustion of the
 sequence tree, and a torus search over row graphs.  Each shadow graph is
 a relation mask and a node set, and its infinite-walk nodes are cached
 by those (_walkers), so the shadow test is a few table reads.  A shadow
-colors the quadrant, so where no node cap is set it stands in for the
-dive to the depth cap that exhaustion would make.  The torus search reads its period
-order from a cache (_periods).  Without a node cap it skips each p x q
-shape whose column 0 cannot close: column 0 of a p x q torus is a closed
-V-walk of q cells, each the first cell of a wrap-legal width-p row, so
-where no such walk leaves the origin color no torus of that shape exists.
-It builds a width's row graph only when one of its shapes survives.  A
-budgeted search skips only the widths with no row in the origin color,
-which cost it no node, so its node cap runs out where it did before the
-skip.  Its row graphs keep their H half, and a memo of the unions their V
-half reads, cached by H's table (_wrap_rows).  The verdicts that carry no
-witness are shared, one object per length or per (depth, period cap).
+colors the quadrant, so it stands in for the dive to the depth cap that
+exhaustion would make.  The torus search reads its period order from a
+cache (_periods) and skips each p x q shape whose column 0 cannot close:
+column 0 of a p x q torus is a closed V-walk of q cells, each the first
+cell of a wrap-legal width-p row, so where no such walk leaves the
+origin color no torus of that shape exists.  It builds a width's row
+graph only when one of its shapes survives.  Its row graphs keep their H
+half, and a memo of the unions their V half reads, cached by H's table
+(_wrap_rows).  The verdicts that carry no witness are shared, one object
+per length or per (depth, period cap).
 """
 
 from __future__ import annotations
@@ -210,20 +208,18 @@ def _leaves(
     masks[target], which no tile reads.  seq is written in place, so
     backtracking only pops the candidate stack.
 
-    A growing walk without a node cap backjumps: a tile k that has no
-    candidate when first reached sends the walk back to slot max(left[k],
-    below[k]), its later neighbor, whose untried colors are next; it
-    returns when that slot is the wall or a prefix tile.  This is exact:
-    the tiles after that neighbor do not enter k's candidates, masks[k]
-    only loses bits, and having placed k tiles the walk already has edge
-    >= k, so no retry of those tiles could raise the edge or reach a leaf
-    without placing k.  A tile whose candidates ran out after being tried
-    backtracks one tile, since the subtrees it tried read the tiles in
-    between.  A budgeted walk never jumps, so its nodes, and where its cap
-    runs out, stay those of the plain walk; nor, for now, does a
-    fixed-target walk (see the module docstring).  The dead test is the
-    one branch after each placement, so a live node pays nothing for the
-    jump.
+    A growing walk backjumps: a tile k that has no candidate when first
+    reached sends the walk back to slot max(left[k], below[k]), its later
+    neighbor, whose untried colors are next; it returns when that slot is
+    the wall or a prefix tile.  This is exact: the tiles after that
+    neighbor do not enter k's candidates, masks[k] only loses bits, and
+    having placed k tiles the walk already has edge >= k, so no retry of
+    those tiles could raise the edge or reach a leaf without placing k.  A
+    tile whose candidates ran out after being tried backtracks one tile,
+    since the subtrees it tried read the tiles in between.  A fixed-target
+    walk does not jump for now (see the module docstring).  The dead test
+    is the one branch after each placement, so a live node pays nothing
+    for the jump.  A node cap cuts this same walk short.
     """
     k = base = len(prefix)
     if k >= target:
@@ -246,7 +242,6 @@ def _leaves(
         masks[left[e] - 1] &= live_h
     out: list = []
     stack = []
-    jump = grow and node_cap is None
     cand = h[seq[left[k]]] & v[seq[below[k]]] & masks[k]
     if not cand:
         return out, deepest
@@ -281,7 +276,7 @@ def _leaves(
         stack.append(cand)
         cand = h[seq[left[k]]] & v[seq[below[k]]] & masks[k]
         if not cand:
-            if jump:
+            if grow:
                 # tile k is dead as reached: resume at its later neighbor
                 back = max(left[k], below[k]) - 1 - base
                 if back < 0:
@@ -504,15 +499,13 @@ def find_periodic_witness(
     the first witness is the lexicographically least one, but failed
     branches die a whole row at a time.
 
-    Without a node cap, the search first works out, when the period order
-    first reaches width p, the heights q at which column 0 can close
-    (_closing_heights), and skips every other (p, q) shape: column 0 of a
-    p x q torus is a closed V-walk of q cells from the origin color, and
-    each of its cells begins a row of the torus, so a wrap-legal width-p
-    row.  A width none of whose heights can close builds no row graph.
-    With a node cap, the search skips only the widths with no row starting
-    in the origin color, which would spend no node: skipping a shape that
-    spends nodes would move where the cap runs out, and so a capped result.
+    The search first works out, when the period order first reaches width
+    p, the heights q at which column 0 can close (_closing_heights), and
+    skips every other (p, q) shape: column 0 of a p x q torus is a closed
+    V-walk of q cells from the origin color, and each of its cells begins
+    a row of the torus, so a wrap-legal width-p row.  A width none of
+    whose heights can close builds no row graph.  A node cap stops this
+    same search once a row would take it past the cap.
     """
     nodes_left = budget.node_cap
     cap = budget.period_cap
@@ -520,11 +513,7 @@ def find_periodic_witness(
     graphs: dict = {}
     for _, p, q in _periods(cap):
         if p not in heights:
-            firsts = _wrap_rows(sys.h_next, p)[1][0]
-            if nodes_left is not None:  # no start row: no walk, and no node spent
-                heights[p] = -1 if firsts[sys.origin] else 0
-            else:
-                heights[p] = _closing_heights(sys, firsts, cap)
+            heights[p] = _closing_heights(sys, _wrap_rows(sys.h_next, p)[1][0], cap)
         if not heights[p] >> q & 1:
             continue
         if p not in graphs:
@@ -635,11 +624,10 @@ def classify(sys: ColoringSystem, budget: SearchBudget) -> Verdict:
        returned without search.  Bounded and Unknown verdicts are shared
        the same way, one object per length and per (depth, period cap), so
        equal verdicts are the same object.
-    2. Without a node cap, a 1-D shadow (_shadows, a few reads of the
-       per-mask caches _relation and _walkers) proves that the quadrant
-       has a coloring.  Its first depth_cap tiles are then an
-       accepted sequence, so exhaustion would return ReachedCap(depth_cap)
-       and is skipped.
+    2. A 1-D shadow (_shadows, a few reads of the per-mask caches
+       _relation and _walkers) proves that the quadrant has a coloring.
+       Its first depth_cap tiles are then an accepted sequence, so
+       exhaustion would return ReachedCap(depth_cap) and is skipped.
     3. Otherwise the sequence tree is exhausted: ExactMax proves the system
        Bounded.
     4. Only when the tree reached the depth cap, or ran out of nodes, is a
@@ -650,14 +638,14 @@ def classify(sys: ColoringSystem, budget: SearchBudget) -> Verdict:
     searches spend separate node budgets.  So steps 3 and 4 give the same
     verdict as trying witnesses first, and for a system that step 1 settles
     they return its 1x1 torus: it is the first period find_periodic_witness
-    tries, at a cost of one node, and node_cap is always >= 1.  Step 2 is
-    kept off budgeted searches, because a capped exhaustion can return
-    Indeterminate, whose max_seen the Unknown verdict records.
+    tries, at a cost of one node, and node_cap is always >= 1.  A node cap
+    cuts short the searches of these steps and nothing else, so a shadowed
+    system's Unknown records the depth cap under any budget.
     """
     o = sys.origin
     if (sys.h_mask & sys.v_mask) >> (o * sys.n + o) & 1:
         return _CONSTANT[o]
-    if budget.node_cap is None and any(_shadows(sys)):
+    if any(_shadows(sys)):
         result = ReachedCap(budget.depth_cap)
     else:
         result = max_accept_length(sys, budget)

@@ -240,7 +240,7 @@ def _sha256(path):
     "budget, digest",
     [
         (CAPS, "68453874ed4111c8927ae206dd609c7c2ff5814fdfac3aa7ed8409505a76929d"),
-        (CAPPED, "0eb9faf1c515abbf70693066e780f6b2645139d89f4b19b17342a2029e2b7081"),
+        (CAPPED, "f4494d1d7d446cc5d6d7a416db239d750ede75cf95ed6b6f9ee4a3884685c320"),
     ],
     ids=["32/4", "12/2 node_cap=6"],
 )

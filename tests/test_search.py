@@ -236,6 +236,17 @@ def test_the_n4_champion_is_certified_twice():
     assert sum(qc.tile_at(41)) == sum(qc.tile_at(39))
 
 
+def test_a_node_cap_settles_the_n4_champion_at_the_walks_node_count():
+    # the backjumping walk exhausts the champion's tree in 4,485
+    # placements; a cap of one fewer cuts that same walk short after it
+    # has placed the longest, 39-tile prefix
+    s = qc.ColoringSystem(4, 0, 0x1797, 0x7d2a)
+    assert qc.max_accept_length(s, qc.SearchBudget(node_cap=4485)) == qc.ExactMax(39)
+    assert qc.max_accept_length(s, qc.SearchBudget(node_cap=4484)) == qc.Indeterminate(
+        max_seen=39, nodes=4484
+    )
+
+
 def _certified(s, result) -> bool:
     """Whether an exhaustion result holds by a certificate that shares no
     walk with the growing one: ExactMax(L) by the frontier sweep, which
@@ -294,7 +305,7 @@ def test_budgeted_search_results_are_pinned():
     kinds = {type(r) for r in results}
     assert kinds == {qc.ExactMax, qc.ReachedCap, qc.Indeterminate, qc.Unreachable, tuple}
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
-    assert digest == "1a21d9fc4797beb19d65429eb57d09bbfc50fe51d39e428762dd63facfe25f76"
+    assert digest == "cccd413ab9f7d7f6b47085519e5c2295a899ab6a61e01cf292e5ddef4eceada3"
 
 
 def test_budgeted_witness_results_are_pinned():
@@ -310,7 +321,7 @@ def test_budgeted_witness_results_are_pinned():
                 results.append(qc.find_periodic_witness(s, budget))
     assert None in results and any(isinstance(r, qc.PeriodicWitness) for r in results)
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
-    assert digest == "bd8ca8d6d054d71d93d5e6e52c790594028e4848ce10d863e538f3092bc4e4ad"
+    assert digest == "46cc993428adea8c271149a49fb92c20192aa8f3cf23b1b32a7acfd121a5bcad"
 
 
 def test_budgeted_results_beyond_n2_are_pinned():
@@ -331,7 +342,7 @@ def test_budgeted_results_beyond_n2_are_pinned():
     kinds = {type(r) for r in results}
     assert kinds == {type(None), qc.PeriodicWitness, qc.Bounded, qc.HasColoring, qc.Unknown}
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
-    assert digest == "a1623619286b0f7794049543e77e6ca6abf6c4bd05581e6b64325de618ce3d54"
+    assert digest == "4dfbe56c99f9ead64096c9a0a346c9d96fbf3b8ff90b21db9654af77df4a1820"
 
 
 def test_walk_results_are_pinned(example_system, example_triangle):
@@ -362,7 +373,48 @@ def test_walk_results_are_pinned(example_system, example_triangle):
     kinds = {type(r) for r in results}
     assert {qc.ExactMax, qc.ReachedCap, qc.Indeterminate, tuple} <= kinds
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
-    assert digest == "a7c944b83d9f8f98d542418f9a0017567b82a65dfa0dfeef76fcb46135abc32a"
+    assert digest == "e9b4f1a25c4defb64fc69b22d1809bb8d14a2f9d05b1d15571724b21bc871c71"
+
+
+def _conclusive(result) -> bool:
+    return not (result is None or isinstance(result, (qc.Indeterminate, qc.Unknown)))
+
+
+def test_a_node_cap_cuts_the_unbudgeted_search_short():
+    # every n=2 system and seeded n=3 and n=4 samples under a ladder of
+    # node caps: each capped result is the unbudgeted one or inconclusive
+    # (no witness, Indeterminate or Unknown), a conclusive one stays at
+    # every larger cap, and the depth an inconclusive one reports never
+    # falls as the cap grows
+    rng = random.Random(30)
+    sample = [qc.system_at(2, index) for index in range(512)]
+    sample += [random_system(rng, 3) for _ in range(400)]
+    sample += [random_system(rng, 4) for _ in range(200)]
+    kinds = set()
+    for s in sample:
+        for period_cap in (2, 4):
+            for run in (qc.classify, qc.max_accept_length, qc.find_periodic_witness):
+                full = run(s, qc.SearchBudget(period_cap=period_cap))
+                settled = False
+                reached = 0
+                for node_cap in (1, 6, 40, 300, 5000):
+                    result = run(s, qc.SearchBudget(period_cap=period_cap, node_cap=node_cap))
+                    kinds.add(type(result))
+                    if _conclusive(result):
+                        assert result == full, (s, run, node_cap)
+                        settled = True
+                        continue
+                    assert not settled, (s, run, node_cap)
+                    if isinstance(result, qc.Indeterminate):
+                        depth = result.max_seen
+                    elif isinstance(result, qc.Unknown):
+                        depth = result.depth_reached
+                    else:  # no witness, which reports no depth
+                        continue
+                    assert depth >= reached, (s, run, node_cap)
+                    reached = depth
+    assert kinds == {qc.Bounded, qc.HasColoring, qc.Unknown, qc.ExactMax, qc.ReachedCap,
+                     qc.Indeterminate, qc.PeriodicWitness, type(None)}
 
 
 def _first_torus(s, cap):
@@ -384,22 +436,29 @@ def test_witness_is_first_in_period_order(s):
     assert _triple(qc.find_periodic_witness(s, qc.SearchBudget(period_cap=3))) == _first_torus(s, 3)
 
 
-def test_the_column_skip_changes_no_witness():
-    # without a node cap the torus search skips the shapes whose column 0
-    # cannot close; under a cap too large to bind (no test walks 10^12
-    # nodes) it tries every shape, so the two must agree, and on every n=2
-    # system at cap 3 both are the first brute-force torus
+def _every_height(sys, firsts, cap):
+    """_closing_heights without the column rule: every height of a width
+    with a row starting in the origin color, and none of any other."""
+    return -1 if firsts[sys.origin] else 0
+
+
+def test_the_column_skip_changes_no_witness(monkeypatch):
+    # the torus search skips the shapes whose column 0 cannot close; with
+    # _every_height in place of the rule it tries every shape with a start
+    # row, so the two must agree, and on every n=2 system at cap 3 both
+    # are the first brute-force torus
     rng = random.Random(28)
     sample = [qc.system_at(2, index) for index in range(512)]
     sample += [random_system(rng, 3) for _ in range(1000)]
     sample += [random_system(rng, 4) for _ in range(1000)]
+    budgets = [qc.SearchBudget(period_cap=period_cap) for period_cap in range(1, 6)]
+    skipping = [[qc.find_periodic_witness(s, budget) for budget in budgets] for s in sample]
+    monkeypatch.setattr(search, "_closing_heights", _every_height)
     found = 0
-    for s in sample:
-        for period_cap in range(1, 6):
-            witness = qc.find_periodic_witness(s, qc.SearchBudget(period_cap=period_cap))
-            capped = qc.SearchBudget(period_cap=period_cap, node_cap=10**12)
-            assert witness == qc.find_periodic_witness(s, capped), (s, period_cap)
-            if s.n == 2 and period_cap == 3:
+    for s, witnesses in zip(sample, skipping):
+        for budget, witness in zip(budgets, witnesses):
+            assert witness == qc.find_periodic_witness(s, budget), (s, budget)
+            if s.n == 2 and budget.period_cap == 3:
                 assert _triple(witness) == _first_torus(s, 3), s
             found += witness is not None
     assert 0 < found < 5 * len(sample)
@@ -421,11 +480,10 @@ def _closing_widths(s, cap):
 
 
 def test_the_column_skip_builds_no_row_graph_it_cannot_use(monkeypatch):
-    # on systems with no torus up to the cap, every width is reached: an
-    # unbudgeted search builds the row graph of each width where some
-    # column 0 closes, and a budgeted one, which keeps the tree of the
-    # search without the skip, that of each width with a row starting in
-    # the origin color
+    # on systems with no torus up to the cap, every width is reached: a
+    # search builds the row graph of each width where some column 0
+    # closes, with or without a node cap, and no other, so it skips some
+    # widths that have a row starting in the origin color
     built = []
     real = search._row_graph
 
@@ -446,12 +504,29 @@ def test_the_column_skip_builds_no_row_graph_it_cannot_use(monkeypatch):
             continue
         closing = _closing_widths(s, 3)
         assert sorted(built) == sorted(closing), s
-        starting = {p for p in (1, 2, 3) if search._wrap_rows(s.h_next, p)[1][0][s.origin]}
         built.clear()
         assert qc.find_periodic_witness(s, budgeted) is None
-        assert sorted(built) == sorted(starting), s
+        assert sorted(built) == sorted(closing), s
+        starting = {p for p in (1, 2, 3) if search._wrap_rows(s.h_next, p)[1][0][s.origin]}
         skipped += len(starting - closing)
     assert skipped
+
+
+def test_a_node_cap_keeps_the_column_skip(monkeypatch):
+    # no column 0 of this n=4 system closes up to period 5, so the search
+    # builds no row graph, and a cap too large to bind changes nothing
+    built = []
+    real = search._row_graph
+
+    def counting(sys, p):
+        built.append(p)
+        return real(sys, p)
+
+    monkeypatch.setattr(search, "_row_graph", counting)
+    s = qc.ColoringSystem(4, 1, 61949, 36893)
+    for node_cap in (None, 10**12):
+        assert qc.find_periodic_witness(s, qc.SearchBudget(period_cap=5, node_cap=node_cap)) is None
+    assert built == []
 
 
 def test_classify_shares_its_verdicts():
@@ -515,6 +590,9 @@ def _witness_first(s, budget):
     if isinstance(result, qc.ExactMax):
         return qc.Bounded(result.length)
     depth = result.depth if isinstance(result, qc.ReachedCap) else result.max_seen
+    if any(brute_shadows(s)):
+        # a shadow colors the quadrant, so the uncapped walk reaches the cap
+        depth = budget.depth_cap
     return qc.Unknown(depth_reached=depth, period_cap_reached=budget.period_cap)
 
 
@@ -660,9 +738,9 @@ def test_the_shear_class_stays_unknown():
 
 
 @pytest.mark.parametrize("node_cap", [None, 6])
-def test_a_shadow_skips_exhaustion_only_without_a_node_cap(monkeypatch, node_cap):
-    # without a node cap a shadow stands in for a dive to the cap; with
-    # one, exhaustion still runs, because Unknown records its max_seen
+def test_a_shadow_skips_exhaustion_under_any_budget(monkeypatch, node_cap):
+    # a shadow stands in for a dive to the cap, which an uncapped walk
+    # makes: a node cap cuts short only the searches classify runs
     budget = qc.SearchBudget(depth_cap=12, period_cap=3, node_cap=node_cap)
     systems = []
     for index in range(512):
@@ -680,7 +758,7 @@ def test_a_shadow_skips_exhaustion_only_without_a_node_cap(monkeypatch, node_cap
 
     monkeypatch.setattr(search, "max_accept_length", counting)
     assert [qc.classify(s, budget) for s in systems] == expected
-    assert len(calls) == (0 if node_cap is None else len(systems))
+    assert calls == []
 
 
 def _row_graph_by_brute_force(s, p):
