@@ -26,14 +26,18 @@ the file shows which layer a change moved.  With two checkouts it prints
 each layer's value in both.  A traced run takes about a minute.
 
 --full-census K also runs the whole n=3 census (``quadcolor census 3``,
-786,432 records) K times per checkout at jobs 1 and at jobs 2, alternated
-between the checkouts in the same way, and checks each output file's
-sha256 against FULL_N3_SHA256, a pin of this script's own that the file
-records under ``full_n3_sha256``.  Its runs record wall time, the CPU time
-of the census process and its workers, and the printed summary, under the
-workload names ``full-n3 jobs=1`` and ``full-n3 jobs=2``, and with two
-checkouts the file compares them as it does the workloads.  A run takes
-2.9-3.3 s on a 2-core x86-64 host and its 84 MB output file is deleted after hashing.
+786,432 records) K times per checkout at jobs 1 and at jobs 2, and K
+times as a resume: an untimed ``census 3 --stop-after 786000`` writes the
+file, and a timed ``census 3 --resume`` reads its 786,000 records back
+and writes the last 432.  The runs alternate between the checkouts in the
+same way, and each output file's sha256 is checked against
+FULL_N3_SHA256, a pin of this script's own that the file records under
+``full_n3_sha256``.  Its runs record the wall time of the timed command,
+the CPU time of the census process and its workers, and the printed
+summary, under the workload names ``full-n3 jobs=1``, ``full-n3 jobs=2``
+and ``full-n3 resume``, and with two checkouts the file compares them as
+it does the workloads.  A fresh run takes 2.9-3.3 s on a 2-core x86-64
+host, and a resume 7.7 s; the 84 MB output file is deleted after hashing.
 
 --n4-sample K also classifies a fixed sample of 3,000 n=4 systems
 (``random.Random(4)``: origin, then H and V masks, as the tests'
@@ -74,7 +78,14 @@ RUN_TIMEOUT_S = 300  # run.py stops its own children after 170 s
 PIN = re.compile(r'^([A-Z_]+_SHA256) = "([0-9a-f]{64})"$', re.MULTILINE)
 # The full n=3 census file at the default budget, at every job count.
 FULL_N3_SHA256 = "6398d37ae02ca7a0f76099a819d07d4348577d5de2dfc717072b0f64f2ad1fa7"
-FULL_JOBS = (1, 2)
+# The full n=3 census runs by workload name: the arguments of an untimed
+# command that writes the file the timed one starts from, if any, and of
+# the timed command.
+FULL_RUNS = {
+    "full-n3 jobs=1": ((), ("--jobs", "1")),
+    "full-n3 jobs=2": ((), ("--jobs", "2")),
+    "full-n3 resume": (("--stop-after", "786000"), ("--resume",)),
+}
 # The verdicts of the n=4 sample at the default budget, as one JSON line each.
 N4_SAMPLE_SHA256 = "ab3f2fafc9d06be0e1433d30c43fd1f7f2f6b11523f9d818bfd8d9b0bceddc59"
 N4_SAMPLE_SIZE = 3000
@@ -139,29 +150,43 @@ def _run(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0)
     }
 
 
-def _full_census(checkout: Path, jobs: int) -> dict:
-    """One whole n=3 census from the checkout's own source, with its output
-    file's sha256 checked."""
+def _census_command(checkout: Path, out: Path, args: tuple):
+    """Run ``quadcolor census 3 --out OUT ARGS`` from the checkout's own
+    source: the finished process, or an error message."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    cmd = [sys.executable, "-m", "quadcolor.cli", "census", "3", "--out", str(out), *args]
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return f"no result within {RUN_TIMEOUT_S} s"
+    if proc.returncode != 0:
+        return f"exit code {proc.returncode}: {proc.stderr.strip()[-300:]}"
+    return proc
+
+
+def _full_census(checkout: Path, key: str) -> dict:
+    """One whole n=3 census run of FULL_RUNS from the checkout's own
+    source, with its output file's sha256 checked."""
+    setup, args = FULL_RUNS[key]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "n3.jsonl"
-        cmd = [sys.executable, "-m", "quadcolor.cli", "census", "3", "--jobs", str(jobs), "--out", str(out)]
+        if setup:
+            proc = _census_command(checkout, out, setup)
+            if isinstance(proc, str):
+                return {"args": setup, "error": proc}
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         start = time.perf_counter()
-        try:
-            proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
-                                  timeout=RUN_TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            return {"jobs": jobs, "error": f"no result within {RUN_TIMEOUT_S} s"}
+        proc = _census_command(checkout, out, args)
         wall = time.perf_counter() - start
         # the census process has reaped its pool workers, so their CPU time is in here
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
-        if proc.returncode != 0:
-            return {"jobs": jobs, "error": f"exit code {proc.returncode}: {proc.stderr.strip()[-300:]}"}
+        if isinstance(proc, str):
+            return {"args": args, "error": proc}
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     return {
-        "jobs": jobs,
+        "args": args,
         "correct": digest == FULL_N3_SHA256,
         "sha256": digest,
         "summary": json.loads(proc.stdout.strip().splitlines()[-1]),
@@ -269,7 +294,7 @@ def main() -> int:
     ap.add_argument("--workloads", nargs="*", choices=names, default=names, metavar="W",
                     help=f"workloads to record, from {', '.join(names)} (default: all)")
     ap.add_argument("--full-census", type=int, default=0, metavar="K",
-                    help="also run the whole n=3 census K times per checkout at jobs 1 and 2")
+                    help="also run the whole n=3 census K times per checkout at jobs 1 and 2, and as a resume")
     ap.add_argument("--n4-sample", type=int, default=0, metavar="K",
                     help=f"also classify the seeded {N4_SAMPLE_SIZE:,}-system n=4 sample K times per checkout")
     ap.add_argument("--trace", action="store_true",
@@ -289,10 +314,10 @@ def main() -> int:
         lambda checkout, w, i: _run(checkout, w, args.seeds[0], seconds, trace=1),
         lambda w, i: f"{w} seed {args.seeds[0]} traced",
     )
-    full_jobs = {f"full-n3 jobs={jobs}": jobs for jobs in FULL_JOBS} if args.full_census else {}
+    full_runs = list(FULL_RUNS) if args.full_census else []
     full = _alternated(
-        checkouts, list(full_jobs), args.full_census,
-        lambda checkout, key, i: _full_census(checkout, full_jobs[key]),
+        checkouts, full_runs, args.full_census,
+        lambda checkout, key, i: _full_census(checkout, key),
         lambda key, i: f"{key} run {i + 1}",
     )
     sampled = _alternated(
@@ -301,7 +326,7 @@ def main() -> int:
         lambda key, i: f"{key} run {i + 1}",
     )
     measured = [(w, runs, spec["end_to_end"]) for w in workloads]
-    measured += [(key, full, PROCESS_METRICS) for key in full_jobs]
+    measured += [(key, full, PROCESS_METRICS) for key in full_runs]
     if args.n4_sample:
         measured.append(("n4-sample", sampled, PROCESS_METRICS))
 
@@ -310,6 +335,7 @@ def main() -> int:
         "command": (
             "perfbench/run.py --trace 0" + ("; trace: perfbench/run.py --trace 1" if args.trace else "")
             + "; full-n3: python -m quadcolor.cli census 3 --jobs J"
+            + ", or --stop-after 786000 untimed, then --resume"
             + "; n4-sample: python -c N4_SAMPLE_CHILD"
         ),
         "seconds": seconds,
@@ -336,7 +362,7 @@ def main() -> int:
     for (c, w), r in traced.items():
         # one run: its metrics are the medians of its traced repetitions
         record["checkouts"][c]["workloads"][w]["trace"] = r[0]
-    if full_jobs:
+    if full_runs:
         # this script's own pin, checked against every checkout's output
         record["full_n3_sha256"] = FULL_N3_SHA256
     if args.n4_sample:

@@ -12,10 +12,12 @@ worked out once per run, the V masks of the run are renamed by them a
 bounded slice at a time, one pass through each table, and each system then
 costs a few table reads and one class-table lookup.
 
-Output is JSON lines, one record per system, written and flushed one
-chunk at a time.  A cursor sidecar, written once when the file is created,
-records the budget, so an interrupted run can resume where the last
-complete record ended without mixing records of different budgets.
+Output is JSON lines, one record per system.  Each chunk of systems comes
+back, from a pool worker or in process, as one bytes buffer of its lines,
+which is written to the binary record file in one write and flushed.  A
+cursor sidecar, written once when the file is created, records the
+budget, so an interrupted run can resume where the last complete record
+ended without mixing records of different budgets.
 """
 
 from __future__ import annotations
@@ -354,12 +356,14 @@ _classes: dict = {}
 _CHUNK_CAP = 4096
 
 
-def _chunk(task: tuple) -> tuple[list, _Totals]:
-    """Record lines for systems start..stop-1, and the totals over them.
+def _chunk(task: tuple) -> tuple[bytes, _Totals]:
+    """The record lines of systems start..stop-1 as one bytes buffer, each
+    line ending in a newline, and the totals over them.
 
     Canonicalization runs once per run of equal (origin, H), and each line
     is formatted from the index, the class id and the class verdict, with
-    no per-system record objects."""
+    no per-system record objects.  One buffer is one object for a pool to
+    send back and one write for run_census."""
     n, budget, start, stop = task
     if (n, budget) not in _classes:
         _classes.clear()
@@ -369,7 +373,8 @@ def _chunk(task: tuple) -> tuple[list, _Totals]:
     for index, cid, perm, verdict in _classified(n, budget, start, stop, _classes[n, budget]):
         totals.add(index, verdict)
         lines.append(_line(index, cid, verdict, perm))
-    return lines, totals
+    lines.append("")
+    return "\n".join(lines).encode(), totals
 
 
 # -- resumable streaming runs -----------------------------------------------------
@@ -454,11 +459,12 @@ def run_census(
     record instead of being restarted.
 
     The index range is cut into chunks of at most 4,096 systems, each
-    classified in one piece (by a pool of ``jobs`` workers when jobs > 1),
-    then written and flushed in index order.  The cursor sidecar holding
-    the budget is written once, when the output file is created, and
-    removed when the run completes; resume re-scans the record file for
-    its position and truncates any torn tail.
+    classified in one piece (by a pool of ``jobs`` workers when jobs > 1)
+    into one bytes buffer of lines, which is written to the record file,
+    opened in binary mode, and flushed in index order.  The cursor sidecar
+    holding the budget is written once, when the output file is created,
+    and removed when the run completes; resume re-scans the record file
+    for its position and truncates any torn tail.
     """
     _check_color_count(n)
     if not _is_int(jobs) or jobs < 1:
@@ -478,10 +484,10 @@ def run_census(
             if resume and os.path.exists(out_path):
                 _check_cursor(out_path, n, budget)
                 start = _scan_existing(out_path, n, totals)
-                out = open(out_path, "a", encoding="utf-8")
+                out = open(out_path, "ab")
             else:
                 # truncate first: a new cursor beside old records would mix budgets
-                out = open(out_path, "w", encoding="utf-8")
+                out = open(out_path, "wb")
                 _write_atomic(_cursor_path(out_path), dump_pretty(_cursor_payload(n, budget)))
 
         paused = stop_after is not None and start + stop_after < total
@@ -493,9 +499,9 @@ def run_census(
             chunks = pool.imap(_chunk, tasks)
         else:
             chunks = map(_chunk, tasks)
-        for lines, chunk_totals in chunks:
+        for data, chunk_totals in chunks:
             if out is not None:
-                out.writelines(line + "\n" for line in lines)
+                out.write(data)
                 out.flush()
             totals.merge(chunk_totals)
     finally:

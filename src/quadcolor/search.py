@@ -42,7 +42,8 @@ against brute-force filtration) but lets bounded systems die fast.
 
 Every search walks one tree whatever its budget: a node cap cuts short
 the unbudgeted walk, in the same order, and the caller reports what it
-reached (Indeterminate, or no witness).
+reached (Indeterminate, or no witness and the largest period whose torus
+shapes were all searched).
 
 The length profile sweeps frontier words level by level, not the tree,
 merging prefixes that end in the same word and counting them together.
@@ -58,11 +59,14 @@ exhaustion would make.  The torus search reads its period order from a
 cache (_periods) and skips each p x q shape whose column 0 cannot close:
 column 0 of a p x q torus is a closed V-walk of q cells, each the first
 cell of a wrap-legal width-p row, so where no such walk leaves the
-origin color no torus of that shape exists.  It builds a width's row
-graph only when one of its shapes survives.  Its row graphs keep their H
-half, and a memo of the unions their V half reads, cached by H's table
-(_wrap_rows).  The verdicts that carry no witness are shared, one object
-per length or per (depth, period cap).
+origin color no torus of that shape exists.  That rule reads V only
+between the colors that begin a width-p row, so it is cached by that
+part of V (_heights), which systems that differ elsewhere share.  It
+builds a width's row graph only when one of its shapes survives.  Its
+row graphs keep their H half, and a memo of the unions their V half
+reads, cached by H's table (_wrap_rows).  The verdicts that carry no
+witness are shared, one object per length or per (depth, period
+reached).
 """
 
 from __future__ import annotations
@@ -456,23 +460,48 @@ def _closing_heights(sys: ColoringSystem, firsts: tuple, cap: int) -> int:
     """The heights q <= cap at which column 0 of a width-p torus can close,
     as a bitmask with bit q set: those of the closed V-walks of q steps from
     the origin color through the colors that begin a wrap-legal width-p row
-    (firsts[c], the rows with color c at position 0, is not empty)."""
+    (firsts[c], the rows with color c at position 0, is not empty).
+
+    The walk reads V only between those colors, which include the origin
+    when any walk closes, so the answer is read from a cache (_heights)
+    keyed by that part of V alone: systems that differ elsewhere share it.
+    """
     through = 0
     for c, rows in enumerate(firsts):
         if rows:
             through |= 1 << c
-    v_next = sys.v_next
     o = sys.origin
+    if not through >> o & 1:
+        return 0
+    n = sys.n
+    return _heights(n, sys.v_mask & _square(n, through), o, through, cap)
+
+
+@lru_cache(maxsize=256)
+def _square(n: int, colors: int) -> int:
+    """The n*n-bit relation mask of every pair (c, d) of colors in the
+    bitmask ``colors``."""
+    rows = 0
+    for c in range(n):
+        if colors >> c & 1:
+            rows |= colors << c * n
+    return rows
+
+
+@lru_cache(maxsize=4096)
+def _heights(n: int, v_mask: int, origin: int, through: int, cap: int) -> int:
+    """_closing_heights' walk, on a V mask cut to the colors in ``through``."""
+    full = (1 << n) - 1
     heights = 0
-    reach = 1 << o
+    reach = 1 << origin
     for q in range(1, cap + 1):
         step = 0
         while reach:
             low = reach & -reach
             reach ^= low
-            step |= v_next[low.bit_length() - 1]
-        reach = step & through
-        heights |= (reach >> o & 1) << q
+            step |= v_mask >> (low.bit_length() - 1) * n & full
+        reach = step
+        heights |= (reach >> origin & 1) << q
     return heights
 
 
@@ -483,12 +512,18 @@ def _periods(cap: int) -> tuple:
 
 
 def find_periodic_witness(
-    sys: ColoringSystem, budget: SearchBudget
+    sys: ColoringSystem, budget: SearchBudget, reached: Optional[list] = None
 ) -> Optional[PeriodicWitness]:
     """Search torus colorings over all periods up to the cap, smallest area
     first (ties by p, then q).  Cell (0, 0) is pinned to the origin color.
     Returns the first witness found, or None when there is none or when the
     node cap runs out first (each row placed costs p nodes).
+
+    When it returns None and ``reached`` is a list, the search appends the
+    largest period c whose shapes (every p x q with p, q <= c) it searched
+    in full: the period cap, unless the node cap cut it short.  That is at
+    least 1, since the 1 x 1 shape has at most one row, the origin's, and
+    a node cap is at least 1.  classify writes it into Unknown.
 
     Rows are the search unit: a p x q torus coloring is a closed walk of
     length q in the row graph, whose nodes are the horizontally wrap-legal
@@ -511,7 +546,8 @@ def find_periodic_witness(
     cap = budget.period_cap
     heights: dict = {}
     graphs: dict = {}
-    for _, p, q in _periods(cap):
+    periods = _periods(cap)
+    for i, (_, p, q) in enumerate(periods):
         if p not in heights:
             heights[p] = _closing_heights(sys, _wrap_rows(sys.h_next, p)[1][0], cap)
         if not heights[p] >> q & 1:
@@ -535,6 +571,9 @@ def find_periodic_witness(
             stack[-1] = cand ^ low
             if nodes_left is not None:
                 if nodes_left < p:
+                    if reached is not None:
+                        # the shapes from this one on are not all searched
+                        reached.append(min(max(p, q) for _, p, q in periods[i:]) - 1)
                     return None
                 nodes_left -= p
             j = low.bit_length() - 1
@@ -543,7 +582,9 @@ def find_periodic_witness(
                 stack.append(succ[j])
             elif succ[j] >> (walk[0] if walk else j) & 1:
                 walk.append(j)
-                return PeriodicWitness(p=p, q=q, rows=tuple(rows[i] for i in walk))
+                return PeriodicWitness(p=p, q=q, rows=tuple(rows[j] for j in walk))
+    if reached is not None:
+        reached.append(cap)
     return None
 
 
@@ -622,8 +663,8 @@ def classify(sys: ColoringSystem, budget: SearchBudget) -> Verdict:
     1. An origin color with an H and a V self-loop colors the quadrant
        constantly, and the 1x1 torus (one object per origin color) is
        returned without search.  Bounded and Unknown verdicts are shared
-       the same way, one object per length and per (depth, period cap), so
-       equal verdicts are the same object.
+       the same way, one object per length and per (depth, period
+       reached), so equal verdicts are the same object.
     2. A 1-D shadow (_shadows, a few reads of the per-mask caches
        _relation and _walkers) proves that the quadrant has a coloring.
        Its first depth_cap tiles are then an accepted sequence, so
@@ -631,7 +672,9 @@ def classify(sys: ColoringSystem, budget: SearchBudget) -> Verdict:
     3. Otherwise the sequence tree is exhausted: ExactMax proves the system
        Bounded.
     4. Only when the tree reached the depth cap, or ran out of nodes, is a
-       torus witness searched for.
+       torus witness searched for.  Unknown records the depth reached and
+       the largest period whose shapes the torus search finished: the
+       period cap, unless its node cap ran out first.
 
     No order of these steps changes a verdict.  A witness colors the whole
     quadrant, so it cannot coexist with an exhausted tree, and the two
@@ -651,8 +694,9 @@ def classify(sys: ColoringSystem, budget: SearchBudget) -> Verdict:
         result = max_accept_length(sys, budget)
         if isinstance(result, ExactMax):
             return _bounded(result.length)
-    witness = find_periodic_witness(sys, budget)
+    reached: list = []
+    witness = find_periodic_witness(sys, budget, reached)
     if witness is not None:
         return HasColoring(witness)
     depth = result.depth if isinstance(result, ReachedCap) else result.max_seen
-    return _unknown(depth, budget.period_cap)
+    return _unknown(depth, reached[0])

@@ -94,7 +94,7 @@ def _relation(n: int, mask: int) -> tuple[int, int]:
     return transpose, loops
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ColoringSystem:
     """A coloring system: color count, origin color, and the H/V relations."""
 
@@ -107,20 +107,23 @@ class ColoringSystem:
     h_next: tuple = field(init=False, repr=False, compare=False)
     v_next: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        n, h, v = self.n, self.h_mask, self.v_mask
+    def __init__(self, n: int, origin: int, h_mask: int, v_mask: int):
         # exact ints pass one test; int subclasses and problems take the checks
-        if not (type(n) is type(self.origin) is type(h) is type(v) is int
-                and 0 <= self.origin < n <= MAX_COLORS and (h | v) >> n * n == 0):
-            problems = _origin_problems(n, self.origin)
+        if not (type(n) is type(origin) is type(h_mask) is type(v_mask) is int
+                and 0 <= origin < n <= MAX_COLORS and (h_mask | v_mask) >> n * n == 0):
+            problems = _origin_problems(n, origin)
             limit = 1 << (n * n)
-            for label, mask in (("horizontal", h), ("vertical", v)):
+            for label, mask in (("horizontal", h_mask), ("vertical", v_mask)):
                 if not _is_int(mask) or mask < 0 or mask >= limit:
                     problems.append(f"{label} mask {mask!r} has bits outside the {n}x{n} pair grid")
             if problems:
                 raise InputError("; ".join(problems))
-        object.__setattr__(self, "h_next", _successors(n, h))
-        object.__setattr__(self, "v_next", _successors(n, v))
+        # one update of the instance dict, not six frozen-dataclass setattrs:
+        # a census builds one system per class
+        self.__dict__.update(
+            n=n, origin=origin, h_mask=h_mask, v_mask=v_mask,
+            h_next=_successors(n, h_mask), v_next=_successors(n, v_mask),
+        )
 
     @classmethod
     def from_pairs(

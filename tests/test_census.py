@@ -459,7 +459,7 @@ def test_capped_chunks_match_direct_records(tmp_path, monkeypatch):
 
     def record_span(task):
         spans.append(task[2:])
-        return [], census._Totals(3)
+        return b"", census._Totals(3)
 
     monkeypatch.setattr(census, "_chunk", record_span)
     qc.run_census(3, budget, stop_after=stop)
@@ -633,8 +633,8 @@ def test_census_loop_renames_per_run_not_per_record(monkeypatch):
     monkeypatch.setattr(systems, "_permute_mask", counting)
     monkeypatch.setattr(census, "_classes", {})
     runs = 6
-    lines, _ = census._chunk((3, CAPS, 512 * 40, 512 * (40 + runs)))
-    assert len(lines) == 512 * runs
+    data, _ = census._chunk((3, CAPS, 512 * 40, 512 * (40 + runs)))
+    assert data.count(b"\n") == 512 * runs
     assert len(calls) == 2 * runs  # two bijections fix the origin at n = 3
     assert not hasattr(census, "_permute_mask") and not hasattr(census, "_class_id")
 
@@ -690,6 +690,11 @@ def _direct_lines(n, budget, start, stop):
     return lines, inverse_needed
 
 
+# 600 n=3 records across the start of origin 2's run of H = 0x0A5: their
+# canonicalizing bijections include one that is not its own inverse
+ORIGIN_2_START = (2 * 512 + 0x0A5) * 512 - 300
+
+
 def test_census_lines_match_direct_reference(tmp_path, monkeypatch):
     # every n=4 chunk starts inside a 65,536-long run of one (origin, H), and
     # origin 0 with an empty H ties all six bijections that fix color 0
@@ -701,11 +706,28 @@ def test_census_lines_match_direct_reference(tmp_path, monkeypatch):
     assert out.read_text() == "".join(_direct_lines(4, budget, 0, stop)[0])
     # origin 2 at n=3 has a canonicalizing bijection that is not its own inverse
     monkeypatch.setattr(census, "_classes", {})
-    start = (2 * 512 + 0x0A5) * 512 - 300
-    lines, _ = census._chunk((3, budget, start, start + 600))
+    start = ORIGIN_2_START
+    data, _ = census._chunk((3, budget, start, start + 600))
     expected, inverse_needed = _direct_lines(3, budget, start, start + 600)
-    assert [line + "\n" for line in lines] == expected
+    assert data.decode() == "".join(expected)
     assert inverse_needed > 0
+
+
+def test_a_chunk_is_its_lines_as_one_bytes_buffer(monkeypatch):
+    # the 600 origin-2 records above, with ties and a bijection that is not
+    # its own inverse: one buffer, the UTF-8 bytes of the lines each ended
+    # by a newline, and the totals over the same records
+    budget = qc.SearchBudget(depth_cap=12, period_cap=2)
+    monkeypatch.setattr(census, "_classes", {})
+    start = ORIGIN_2_START
+    records = list(census_records(3, budget, start, start + 600))
+    data, totals = census._chunk((3, budget, start, start + 600))
+    assert type(data) is bytes
+    assert data == "".join(qc.record_line(rec) + "\n" for rec in records).encode("utf-8")
+    expected = census._Totals(3)
+    for rec in records:
+        expected.add(rec.system_index, rec.verdict)
+    assert vars(totals) == vars(expected)
 
 
 def test_stop_after_pauses_and_resume_completes(tmp_path):

@@ -342,7 +342,7 @@ def test_budgeted_results_beyond_n2_are_pinned():
     kinds = {type(r) for r in results}
     assert kinds == {type(None), qc.PeriodicWitness, qc.Bounded, qc.HasColoring, qc.Unknown}
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
-    assert digest == "4dfbe56c99f9ead64096c9a0a346c9d96fbf3b8ff90b21db9654af77df4a1820"
+    assert digest == "e207e16ea36191999129a9fefe8122514190884df3ce70d3bd3a8c7f3d2073c5"
 
 
 def test_walk_results_are_pinned(example_system, example_triangle):
@@ -464,19 +464,59 @@ def test_the_column_skip_changes_no_witness(monkeypatch):
     assert 0 < found < 5 * len(sample)
 
 
+def _closed_columns(s, cap):
+    """(q, colors) for every closed V-walk of q <= cap cells from the origin
+    color, by brute force: a column of q cells with every vertical pair in
+    V, wrap included, and the set of its colors."""
+    for q in range(1, cap + 1):
+        for rest in product(range(s.n), repeat=q - 1):
+            column = (s.origin, *rest)
+            if all(map(s.v_allows, column, column[1:] + column[:1])):
+                yield q, set(column)
+
+
 def _closing_widths(s, cap):
     """The widths p <= cap at which some column 0 closes within cap rows,
-    by brute force: q cells from the origin color, each the first cell of
-    a wrap-legal width-p row, with every vertical pair in V, wrap included."""
+    by brute force: a closed column whose every cell is the first cell of
+    a wrap-legal width-p row."""
+    closed = list(_closed_columns(s, cap))
     widths = set()
     for p in range(1, cap + 1):
         firsts = {row[0] for row in product(range(s.n), repeat=p)
                   if all(s.h_allows(row[x], row[(x + 1) % p]) for x in range(p))}
-        columns = (column for q in range(1, cap + 1) for column in product(firsts, repeat=q))
-        if any(column[0] == s.origin and all(map(s.v_allows, column, column[1:] + column[:1]))
-               for column in columns):
+        if any(colors <= firsts for _, colors in closed):
             widths.add(p)
     return widths
+
+
+def test_the_column_rule_matches_a_brute_force_count():
+    # the cached column rule against the closed columns, counted by brute
+    # force: every V mask, origin and start-color mask at n = 2 and 3, and
+    # a seeded sample at n = 4, at caps 1 to 5; the rule reads only the
+    # start colors from firsts, so any nonzero row bitset stands for a row
+    rng = random.Random(31)
+    cases = [(n, v_mask, origin) for n in (2, 3) for v_mask in range(1 << n * n) for origin in range(n)]
+    cases += [(4, rng.getrandbits(16), rng.randrange(4)) for _ in range(300)]
+    for n, v_mask, origin in cases:
+        s = qc.ColoringSystem(n, origin, 0, v_mask)
+        closed = list(_closed_columns(s, 5))
+        starts = range(1 << n) if n < 4 else rng.sample(range(1 << n), 3)
+        for through in starts:
+            firsts = tuple(through >> c & 1 for c in range(n))
+            inside = {c for c in range(n) if through >> c & 1}
+            heights = 0
+            for q, colors in closed:
+                if colors <= inside:
+                    heights |= 1 << q
+            for cap in range(1, 6):
+                expected = heights & (2 << cap) - 1
+                assert search._closing_heights(s, firsts, cap) == expected, (s, through, cap)
+    # one census run reads most of its column rules from the cache
+    search._heights.cache_clear()
+    census_records_n3 = list(qc.census_records(3, qc.SearchBudget(), 0, 8192))
+    assert len(census_records_n3) == 8192
+    info = search._heights.cache_info()
+    assert info.hits > 2 * info.misses > 0, info
 
 
 def test_the_column_skip_builds_no_row_graph_it_cannot_use(monkeypatch):
@@ -527,6 +567,38 @@ def test_a_node_cap_keeps_the_column_skip(monkeypatch):
     for node_cap in (None, 10**12):
         assert qc.find_periodic_witness(s, qc.SearchBudget(period_cap=5, node_cap=node_cap)) is None
     assert built == []
+
+
+def test_a_capped_unknown_reports_the_periods_it_searched():
+    # a node cap of 1 stops this system's torus search at the 2 x 1 shape,
+    # whose torus a cap of 2 finds: the Unknown names period 1, the largest
+    # whose shapes were searched, not the period cap
+    s = qc.ColoringSystem.from_pairs(2, 0, [(0, 1), (1, 0)], [(0, 0), (1, 1)])
+    assert qc.classify(s, qc.SearchBudget(node_cap=1)) == qc.Unknown(depth_reached=64, period_cap_reached=1)
+    torus = qc.PeriodicWitness(p=2, q=1, rows=((0, 1),))
+    assert qc.classify(s, qc.SearchBudget(node_cap=2)) == qc.HasColoring(torus)
+    # on every n=2 system under a ladder of node caps, the period reported
+    # is the cap when the search ran to the end, never falls as the node
+    # cap grows, and no brute-force torus has both periods within it
+    reports = set()
+    for index in range(512):
+        s = qc.system_at(2, index)
+        torus_free = {}  # period -> whether no brute-force torus fits within it
+        last = 0
+        for node_cap in (1, 2, 3, 5, 8, 13, None):
+            reached = []
+            witness = qc.find_periodic_witness(s, qc.SearchBudget(period_cap=3, node_cap=node_cap), reached)
+            if witness is not None:
+                assert reached == [], (s, node_cap)
+                break
+            (period,) = reached
+            assert last <= period <= 3 and (node_cap or period == 3), (s, node_cap)
+            if period not in torus_free:
+                torus_free[period] = _first_torus(s, period) is None
+            assert torus_free[period], (s, node_cap)
+            reports.add(period)
+            last = period
+    assert reports == {1, 2, 3}
 
 
 def test_classify_shares_its_verdicts():
@@ -583,7 +655,8 @@ def test_classify_with_starved_node_budget_still_sound():
 
 def _witness_first(s, budget):
     """classify composed the other way round: torus witness, then exhaustion."""
-    witness = qc.find_periodic_witness(s, budget)
+    reached = []
+    witness = qc.find_periodic_witness(s, budget, reached)
     if witness is not None:
         return qc.HasColoring(witness)
     result = qc.max_accept_length(s, budget)
@@ -593,7 +666,7 @@ def _witness_first(s, budget):
     if any(brute_shadows(s)):
         # a shadow colors the quadrant, so the uncapped walk reaches the cap
         depth = budget.depth_cap
-    return qc.Unknown(depth_reached=depth, period_cap_reached=budget.period_cap)
+    return qc.Unknown(depth_reached=depth, period_cap_reached=reached[0])
 
 
 @pytest.mark.parametrize(
